@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -25,8 +24,8 @@ from . import __version__
 from .errors import (BudgetExhaustedError, CapExceededError,
                      EdgeListParseError, InfeasibleConstructionError,
                      PreconditionError)
-from .exponents import classify_and_rate, gamma, contributing_subgraphs, p_polynomial, rho
-from .fractional import bad_edges, frac_vertex_cover_number, valid_subsets
+from .exponents import classify_and_rate, rho, subgraph_census
+from .fractional import frac_vertex_cover_number
 from .graphs import Graph, delta_star, describe_subgraph, is_forest, make_named, parse_edge_list
 from .graphons import (ConditionThresholds, build_w0, build_w1, check_conditions,
                        hom_density, ip_total, regularity_residual)
@@ -136,27 +135,26 @@ def cmd_invariants(args) -> None:
         payload["classification"] = "forest: upper tail trivial"
         _emit(args, payload)
         return
-    gr = gamma(g, cap=caps["edges"])
-    payload["gamma"] = str(gr.value)
-    contributing = contributing_subgraphs(g, cap=caps["edges"])
-    payload["contributing"] = [describe_subgraph(h, g) for h in contributing]
-    payload["bad_edges"] = {describe_subgraph(h, g):
-                            [g.edge_label(e) for e in sorted(bad_edges(h, cap=caps["matching"]))]
-                            for h in contributing if not h.is_empty}
-    payload["valid_subsets"] = {describe_subgraph(h, g): [sorted(a) for a in
-                                                          sorted(valid_subsets(h, cap=caps["cover"]),
-                                                                 key=sorted)]
-                                for h in contributing if not h.is_empty}
-    poly = p_polynomial(g, cap=caps["edges"])
-    payload["P"] = poly.render()
+    census = subgraph_census(g, caps["edges"], caps["cover"], caps["matching"])
+    payload["gamma"] = str(census.gamma.value)
+    payload["contributing"] = [describe_subgraph(h, g) for h in census.contributing]
+    nonempty = [(describe_subgraph(h, g), bad, valid) for h, bad, valid in
+                zip(census.contributing, census.bad_edges(), census.valid) if not h.is_empty]
+    payload["bad_edges"] = {name: [g.edge_label(e) for e in sorted(bad)]
+                            for name, bad, _ in nonempty}
+    payload["valid_subsets"] = {name: [sorted(a) for a in sorted(valid, key=sorted)]
+                                for name, _, valid in nonempty}
+    payload["P"] = census.polynomial.render()
     if args.delta is not None:
-        payload["rho"] = rho(poly, args.delta)
+        payload["rho"] = rho(census.polynomial, args.delta)
     _emit(args, payload)
 
 
 def cmd_rate(args) -> None:
     g, warnings = _load_graph(args)
-    report = classify_and_rate(g, args.delta, args.n, args.p)
+    caps = _parse_caps(args)
+    report = classify_and_rate(g, args.delta, args.n, args.p,
+                               caps["edges"], caps["cover"], caps["matching"])
     _emit(args, {"warnings": warnings, "rate_report": report.to_jsonable()})
 
 
@@ -178,18 +176,19 @@ def _p_values(args) -> list[float]:
 
 def cmd_construct(args) -> None:
     g, _ = _load_graph(args)
+    caps = _parse_caps(args)
+    census = None if args.w1 else subgraph_census(g, caps["edges"], caps["cover"],
+                                                   caps["matching"])
     e_k = g.n_edges
     rows = []
     for p in _p_values(args):
         w = _construction(args, p)
-        if args.w1:
+        if census is None:
             target = None
             entropy_scale = None
         else:
-            gr = gamma(g)
-            poly = p_polynomial(g)
-            target = poly(args.z, args.w)
-            entropy_scale = ((2 * args.z + args.w) * p ** float(2 + gr.value)
+            target = census.polynomial(args.z, args.w)
+            entropy_scale = ((2 * args.z + args.w) * p ** float(2 + census.gamma.value)
                             * math.log(1.0 / p))
         hom = hom_density(g, w)
         ent = ip_total(w, p)
@@ -338,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # REGTAIL_THREADS caps numpy worker threads for reproducible timing.
-    threads = os.environ.get("REGTAIL_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,7 +3,8 @@
 Computes the subgraph exponent gamma, the contributing subgraphs, the
 two-variable counting polynomial P(z, w), its constrained minimum rho, the
 cycle-union constant, the special K0 variational rate, and dispatches the
-applicable rate formula at a given (delta, n, p).
+applicable rate formula at a given (delta, n, p). gamma, the contributing
+subgraphs and P come from one scan of the edge subsets, a SubgraphCensus.
 """
 
 from __future__ import annotations
@@ -11,87 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import CapExceededError, PreconditionError
-from .fractional import cover_number, minimum_covers
-from .graphs import DEFAULT_SUBSET_CAP, Graph, cycle_union_core, two_core
+from .fractional import (DEFAULT_COVER_CAP, DEFAULT_MATCHING_CAP, bad_edges,
+                         cover_number, minimum_covers)
+from .graphs import (DEFAULT_SUBSET_CAP, Edge, Graph, cycle_union_core,
+                     edge_subgraphs, two_core)
 from .graphons import ip_scalar
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
-
-
-# ---------------------------------------------------------------------------
-# gamma and contributing subgraphs
-# ---------------------------------------------------------------------------
-
-def _distinct_cores(g: Graph, cap: int) -> list[Graph]:
-    """Distinct 2-cores over all edge subsets, the empty graph included.
-
-    Removing a leaf keeps e - v fixed and never raises the cover number, so
-    the ratio (e - v)/c of any subgraph is matched or beaten by its 2-core;
-    maximizing over cores therefore loses nothing.
-    """
-    if g.n_edges > cap:
-        raise CapExceededError(f"{g.n_edges} edges exceeds subset cap {cap}")
-    es = g.sorted_edges()
-    seen: set[frozenset] = set()
-    cores = []
-    for mask in range(1 << len(es)):
-        sub = g.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)
-        core = two_core(sub)
-        if core.edges not in seen:
-            seen.add(core.edges)
-            cores.append(core)
-    cores.sort(key=lambda h: (h.n_edges, h.sorted_edges()))
-    return cores
-
-
-@dataclass(frozen=True)
-class GammaResult:
-    value: Fraction
-    witness: Optional[Graph]  # a maximizer with minimum degree >= 2
-    forest: bool
-
-
-def gamma(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> GammaResult:
-    """Exact max of (e(H) - v(H)) / c(H) over nonempty subgraphs H."""
-    if g.is_empty:
-        raise PreconditionError("gamma needs at least one edge")
-    cores = [h for h in _distinct_cores(g, cap) if not h.is_empty]
-    if not cores:
-        # Forest: every nonempty subgraph has e < v. Report the (negative)
-        # maximum anyway, flagged, scanning all subsets since cores are gone.
-        es = g.sorted_edges()
-        best, best_h = None, None
-        for mask in range(1, 1 << len(es)):
-            sub = g.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)
-            ratio = Fraction(sub.n_edges - sub.n_vertices) / cover_number(sub)
-            if best is None or ratio > best:
-                best, best_h = ratio, sub
-        return GammaResult(best, best_h, True)
-    best, best_h = None, None
-    for h in cores:
-        ratio = Fraction(h.n_edges - h.n_vertices) / cover_number(h)
-        if best is None or ratio > best:
-            best, best_h = ratio, h
-    return GammaResult(best, best_h, False)
-
-
-def contributing_subgraphs(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> list[Graph]:
-    """Subgraphs of min degree >= 2 attaining e - v = c * gamma, plus empty.
-
-    The empty graph counts by convention (vacuous degree condition, cover
-    number 0); it supplies the counting polynomial's constant term.
-    """
-    gr = gamma(g, cap)
-    out = [g.subgraph([])]
-    if gr.forest:
-        return out
-    for h in _distinct_cores(g, cap):
-        if not h.is_empty and Fraction(h.n_edges - h.n_vertices) == gr.value * cover_number(h):
-            out.append(h)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +99,147 @@ class HalfExpPolynomial:
         return f"HalfExpPolynomial({self.render()})"
 
 
+# ---------------------------------------------------------------------------
+# The subgraph census: 2-cores, gamma, contributing subgraphs and P, once
+# ---------------------------------------------------------------------------
+
+def _distinct_cores(g: Graph, cap: int) -> list[Graph]:
+    """Distinct 2-cores over all edge subsets, the empty graph included.
+
+    Removing a leaf keeps e - v fixed and never raises the cover number, so
+    the ratio (e - v)/c of any subgraph is matched or beaten by its 2-core;
+    maximizing over cores therefore loses nothing.
+
+    Subsets are edge bitmasks visited in increasing order. When some vertex
+    meets exactly one edge x of a mask, x is a pendant edge whose removal
+    leaves the 2-core unchanged, and the smaller mask ``mask ^ x`` is already
+    done; when no vertex does, every degree is 0 or >= 2 and the mask is its
+    own 2-core.
+    """
+    if g.n_edges > cap:
+        raise CapExceededError(f"{g.n_edges} edges exceeds subset cap {cap}")
+    es = g.sorted_edges()
+    incident = {v: 0 for v in g.vertices}
+    for i, (u, v) in enumerate(es):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    inc = list(incident.values())
+    core = [0] * (1 << len(es))
+    for mask in range(1, len(core)):
+        core[mask] = mask
+        for bits in inc:
+            x = mask & bits
+            if x and not x & (x - 1):
+                core[mask] = core[mask ^ x]
+                break
+    cores = [g.subgraph(e for i, e in enumerate(es) if m >> i & 1) for m in set(core)]
+    cores.sort(key=lambda h: (h.n_edges, h.sorted_edges()))
+    return cores
+
+
+@dataclass(frozen=True)
+class GammaResult:
+    value: Fraction
+    witness: Optional[Graph]  # a maximizer with minimum degree >= 2
+    forest: bool
+
+
+def _max_ratio(pairs: Iterable[tuple[Graph, Fraction]]) -> tuple[Optional[Fraction], Optional[Graph]]:
+    """First maximizer of (e - v)/c over (nonempty graph, cover number) pairs."""
+    best, best_h = None, None
+    for h, c in pairs:
+        ratio = Fraction(h.n_edges - h.n_vertices) / c
+        if best is None or ratio > best:
+            best, best_h = ratio, h
+    return best, best_h
+
+
+@dataclass(frozen=True)
+class SubgraphCensus:
+    """The invariants of a pattern that come from its edge subsets.
+
+    ``cores`` are the distinct 2-cores of all edge subsets, sorted by edge
+    count and then edge list (the empty graph first), and ``covers`` their
+    cover numbers. ``contributing`` are the cores attaining gamma, the empty
+    one included, and ``valid`` lists the valid subsets of each in the order
+    the minimum covers first carry them. ``polynomial`` is P(z, w).
+    """
+
+    cores: list[Graph]
+    covers: list[Fraction]
+    gamma: GammaResult
+    contributing: list[Graph]
+    valid: list[list[frozenset[int]]]
+    polynomial: HalfExpPolynomial
+    matching_cap: int
+
+    def bad_edges(self) -> list[frozenset[Edge]]:
+        """Bad edges of each contributing subgraph, under the census's matching cap.
+
+        Computed on request rather than at construction: the matching
+        tableau is the costliest solve here, and gamma, the contributing
+        subgraphs and P do not need it.
+        """
+        return [bad_edges(h, self.matching_cap) for h in self.contributing]
+
+
+def subgraph_census(g: Graph, cap: int = DEFAULT_SUBSET_CAP,
+                    cover_cap: int = DEFAULT_COVER_CAP,
+                    matching_cap: int = DEFAULT_MATCHING_CAP) -> SubgraphCensus:
+    """Scan the 2^e edge subsets of g once and derive gamma, the contributing
+    subgraphs and P(z, w) from the distinct 2-cores.
+
+    ``cap`` bounds the edge count of g, ``cover_cap`` the vertex count of
+    each cover solve and ``matching_cap`` the edge count of each bad-edge
+    solve.
+    """
+    if g.is_empty:
+        raise PreconditionError("gamma needs at least one edge")
+    cores = _distinct_cores(g, cap)
+    covers = [cover_number(h, cover_cap) for h in cores]
+    best, best_h = _max_ratio((h, c) for h, c in zip(cores, covers) if not h.is_empty)
+    forest = best_h is None
+    if forest:
+        # Every nonempty subgraph has e < v. Report the (negative) maximum
+        # anyway, flagged, over all subsets since the cores are gone.
+        best, best_h = _max_ratio((h, cover_number(h, cover_cap))
+                                  for h in edge_subgraphs(g, cap) if not h.is_empty)
+    gr = GammaResult(best, best_h, forest)
+
+    # The empty core attains e - v = c * gamma as 0 = 0: it counts by
+    # convention (vacuous degree condition) and supplies P's constant term.
+    contributing, valid = [], []
+    coeffs: dict[tuple[int, int], int] = {}
+    for h, c in zip(cores, covers):
+        if h.n_edges - h.n_vertices != gr.value * c:
+            continue
+        ones = list(dict.fromkeys(cover.ones() for cover in minimum_covers(h, cover_cap)))
+        contributing.append(h)
+        valid.append(ones)
+        for a in ones:
+            key = (len(a), int(2 * c) - 2 * len(a))
+            coeffs[key] = coeffs.get(key, 0) + 1
+    return SubgraphCensus(cores, covers, gr, contributing, valid,
+                          HalfExpPolynomial(coeffs), matching_cap)
+
+
+def gamma(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> GammaResult:
+    """Exact max of (e(H) - v(H)) / c(H) over nonempty subgraphs H."""
+    return subgraph_census(g, cap).gamma
+
+
+def contributing_subgraphs(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> list[Graph]:
+    """Subgraphs of min degree >= 2 attaining e - v = c * gamma, plus empty.
+
+    The empty graph counts by convention (vacuous degree condition, cover
+    number 0); it supplies the counting polynomial's constant term.
+    """
+    return subgraph_census(g, cap).contributing
+
+
 def p_polynomial(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> HalfExpPolynomial:
     """Generating polynomial over contributing subgraphs and valid subsets."""
-    coeffs: dict[tuple[int, int], int] = {}
-    for h in contributing_subgraphs(g, cap):
-        if h.is_empty:
-            coeffs[(0, 0)] = coeffs.get((0, 0), 0) + 1
-            continue
-        c2 = int(2 * cover_number(h))
-        seen_ones = set()
-        for cover in minimum_covers(h):
-            ones = cover.ones()
-            if ones in seen_ones:
-                continue
-            seen_ones.add(ones)
-            key = (len(ones), c2 - 2 * len(ones))
-            coeffs[key] = coeffs.get(key, 0) + 1
-    return HalfExpPolynomial(coeffs)
+    return subgraph_census(g, cap).polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +263,35 @@ def _bisect_increasing(f, target: float, lo: float, hi: float, tol: float = 1e-1
         if hi - lo <= tol * max(1.0, abs(hi)):
             break
     return hi
+
+
+def _grid_golden_min(f: Callable[[float], float], grid: list[float], atol: float,
+                     rtol: float = 0.0) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of f, located on a grid and refined.
+
+    Golden-section search runs on the two grid cells around the best grid
+    point until the bracket [a, b] is no longer than max(atol, rtol * b),
+    and the bracket's midpoint is kept unless that grid point is strictly
+    better.
+    """
+    values = [f(x) for x in grid]
+    i = min(range(len(grid)), key=lambda j: values[j])
+    a = grid[max(0, i - 1)]
+    b = grid[min(len(grid) - 1, i + 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > max(atol, rtol * b):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x = (a + b) / 2
+    fx = f(x)
+    return (grid[i], values[i]) if values[i] < fx else (x, fx)
 
 
 def rho(poly_or_graph: Union[HalfExpPolynomial, Graph], delta: float,
@@ -247,23 +330,8 @@ def rho(poly_or_graph: Union[HalfExpPolynomial, Graph], delta: float,
     if w_hi <= 0:
         return base
 
-    grid = [w_hi * i / 400 for i in range(401)]
-    values = [objective(w) for w in grid]
-    i = min(range(len(grid)), key=lambda j: values[j])
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol / 10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    return min(values[i], objective((a + b) / 2))
+    _, value = _grid_golden_min(objective, [w_hi * i / 400 for i in range(401)], tol / 10)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +396,8 @@ def k0_variational_min(delta: float, p: float) -> tuple[float, float, float]:
     n_grid = 3000
     log_lo, log_hi = math.log(lo), math.log(hi)
     grid = [math.exp(log_lo + (log_hi - log_lo) * i / n_grid) for i in range(n_grid + 1)]
-    values = [objective(c) for c in grid]
-    i = min(range(len(grid)), key=lambda j: values[j])
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-13 * max(1.0, b):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    c1 = (a + b) / 2
-    if values[i] < objective(c1):
-        c1 = grid[i]
-    return objective(c1), c1, delta / (c1 * c1)
+    c1, value = _grid_golden_min(objective, grid, 1e-13, 1e-13)
+    return value, c1, delta / (c1 * c1)
 
 
 def k0_rate_formula(delta: float, n: float, p: float) -> float:
@@ -427,7 +478,9 @@ def _general_window(g: Graph, gamma_value: Fraction, n: float, p: float
 
 
 def classify_and_rate(g: Graph, delta: float, n: float, p: float,
-                      cap: int = DEFAULT_SUBSET_CAP) -> RateReport:
+                      cap: int = DEFAULT_SUBSET_CAP,
+                      cover_cap: int = DEFAULT_COVER_CAP,
+                      matching_cap: int = DEFAULT_MATCHING_CAP) -> RateReport:
     """Dispatch the applicable upper-tail rate formula.
 
     Order of dispatch: forest (trivial tail), 2-core a disjoint cycle union,
@@ -435,10 +488,9 @@ def classify_and_rate(g: Graph, delta: float, n: float, p: float,
     free of bad edges (sharp constant), and otherwise a logarithmic bracket
     whose lower constant is reported as order-only. All structural tests run
     on the 2-core: removing a leaf rescales the count and its benchmark by
-    the same factor, leaving the tail event unchanged.
+    the same factor, leaving the tail event unchanged. The caps are those of
+    ``subgraph_census``.
     """
-    from .fractional import bad_edges  # local import avoids cycles at module load
-
     if n < 3 or not 0.0 < p < 1.0 or delta <= 0:
         raise PreconditionError("need n >= 3, p in (0, 1), delta > 0")
     inputs = {"delta": delta, "n": n, "p": p, "edges": g.n_edges, "vertices": g.n_vertices}
@@ -461,7 +513,8 @@ def classify_and_rate(g: Graph, delta: float, n: float, p: float,
             "n^{-1/3} << p << 1", bool(n ** (-1.0 / 3.0) < p < 1.0),
             f"2-core is a disjoint union of cycles {lengths}", inputs)
 
-    gr = gamma(g, cap)
+    census = subgraph_census(g, cap, cover_cap, matching_cap)
+    gr = census.gamma
     window, in_window, _ = _general_window(g, gr.value, n, p)
 
     if _is_k0(core):
@@ -475,10 +528,9 @@ def classify_and_rate(g: Graph, delta: float, n: float, p: float,
 
     exponent = 2 + gr.value
     expo_str = f"n^2 p^{_frac_exp_str(exponent)} log(1/p)"
-    rho_value = rho(g, delta)
+    rho_value = rho(census.polynomial, delta)
     rate = rho_value * n * n * p ** float(exponent) * math.log(1.0 / p)
-    contributing = contributing_subgraphs(g, cap)
-    any_bad = any(bad_edges(h) for h in contributing if not h.is_empty)
+    any_bad = any(census.bad_edges())
 
     if not any_bad:
         return RateReport(

@@ -16,12 +16,15 @@ There are no loops.
 
 Pure Python with integer falling factorials. The arithmetic is generic:
 ``Fraction`` probabilities give exact rational expectations, floats give
-floats.
+floats. ``exact_planted_ratios`` reads only the block sizes and densities
+of the model ``sample_pstar`` draws from ``PStarSpec``.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from regtail.sim import PStarSpec
 
 
 def falling(n: int, k: int) -> int:
@@ -79,3 +82,15 @@ def expected_counts(pattern, sizes, prob):
         all_maps = all_maps + expected_injective_edges(len(part), sorted(quotient),
                                                        sizes, prob)
     return all_maps, injective
+
+
+def exact_planted_ratios(pattern, w, n, p):
+    """Exact finite-n (all-maps, injective) mean ratios of the sampled model
+    W* (W on the spec's masked block pairs, p elsewhere) against G(n, p)."""
+    spec = PStarSpec.from_graphon(w, n, p)
+    sizes = [b - a for a, b in zip(spec.boundaries, spec.boundaries[1:])]
+    prob = [[float(spec.values[a, b]) if spec.mask[a, b] else p
+             for b in range(len(sizes))] for a in range(len(sizes))]
+    tilted = expected_counts(pattern, sizes, prob)
+    baseline = expected_counts(pattern, [n], [[p]])
+    return tilted[0] / baseline[0], tilted[1] / baseline[1]

@@ -30,7 +30,7 @@ from regtail.sim import (cycle_hom_oracle, hom_count, sample_gnp,
                          sample_pstar, sample_regular, PStarSpec,
                          planted_comparison)
 
-from planted_oracle import expected_counts
+from planted_oracle import exact_planted_ratios
 from test_exponents import k0_foc_oracle, rho_grid_oracle
 
 
@@ -274,18 +274,6 @@ def test_criterion_9_simulator():
                   f"{elapsed:.0f}s (<300s)")
 
 
-def _exact_planted_ratios(pattern, w, n, p):
-    """Exact finite-n (all-maps, injective) mean ratios of the sampled model
-    W* (W on the spec's masked block pairs, p elsewhere) against G(n, p)."""
-    spec = PStarSpec.from_graphon(w, n, p)
-    sizes = [b - a for a, b in zip(spec.boundaries, spec.boundaries[1:])]
-    prob = [[float(spec.values[a, b]) if spec.mask[a, b] else p
-             for b in range(len(sizes))] for a in range(len(sizes))]
-    tilted = expected_counts(pattern, sizes, prob)
-    baseline = expected_counts(pattern, [n], [[p]])
-    return tilted[0] / baseline[0], tilted[1] / baseline[1]
-
-
 def test_criterion_10_planted_comparison():
     t0 = time.perf_counter()
     n, p, trials = 2000, 0.05, 200
@@ -294,7 +282,7 @@ def test_criterion_10_planted_comparison():
     out = planted_comparison(k23, w, n, p, trials, 1010)
     elapsed = time.perf_counter() - t0
     # The Monte Carlo against the exact finite-n means of the model it samples.
-    exact, exact_inj = _exact_planted_ratios(k23, w, n, p)
+    exact, exact_inj = exact_planted_ratios(k23, w, n, p)
     rel = abs(out.ratio / exact - 1.0)
     rel_inj = abs(out.ratio_injective / exact_inj - 1.0)
     # The exact all-maps ratio against the reported limit as n grows. At
@@ -302,7 +290,7 @@ def test_criterion_10_planted_comparison():
     # two degree-3 vertices, so only the sweep reaches the limit.
     exponents = range(3, 7)
     sweep = [2 * 10 ** j for j in exponents]
-    exact_sweep = [_exact_planted_ratios(k23, w, m, p)[0] for m in sweep]
+    exact_sweep = [exact_planted_ratios(k23, w, m, p)[0] for m in sweep]
     gaps = [abs(r / out.predicted_ratio - 1.0) for r in exact_sweep]
     shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
     converged = all(g <= 0.25 for g in gaps[1:])

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,57 @@ def test_rate_k0(capsys):
     assert code == 0
     assert blob["rate_report"]["classification"] == "k0-special"
     assert blob["rate_report"]["rate"] > 0
+
+
+RATE_ARGS = ("--delta", "1", "--n", "1e6", "--p", "1e-3")
+
+
+def test_rate_honours_caps(capsys):
+    code, _, err = run_cli(capsys, "rate", "--family", "complete-bipartite:2,3",
+                           *RATE_ARGS, "--caps", "edges=5")
+    assert code == 3 and "subset cap 5" in err
+    code, _, err = run_cli(capsys, "rate", "--family", "k0", *RATE_ARGS,
+                           "--caps", "cover=5")
+    assert code == 3 and "cover cap 5" in err
+    # The default caps, implicit or spelled out, give the same reports.
+    expected = {"k0": ("k0-special", "1", 1.3103706971044482, 5920.196805162712),
+                "complete-bipartite:2,3": ("rho-exact", "1/2", 1.0, 218442.402006354)}
+    for family, (kind, gamma_value, constant, rate) in expected.items():
+        reports = []
+        for caps in ((), ("--caps", "edges=16,cover=12,matching=13")):
+            code, out, _ = run_cli(capsys, "rate", "--family", family, *RATE_ARGS, *caps)
+            assert code == 0
+            reports.append(json.loads(out)["rate_report"])
+        assert reports[0] == reports[1]
+        report = reports[0]
+        assert (report["classification"], report["gamma"]) == (kind, gamma_value)
+        assert report["constant"] == pytest.approx(constant, rel=1e-12)
+        assert report["rate"] == pytest.approx(rate, rel=1e-12)
+
+
+def test_regtail_threads_sizes_the_blas_pool():
+    # BLAS sizes its thread pool when numpy loads it, so the variable has to
+    # act on `import regtail`. Read the live pool the way bench/machine.py
+    # does, in a fresh interpreter without the other thread variables.
+    import numpy
+    libdir = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    libs = sorted(libdir.glob("libscipy_openblas*.so*"))
+    if not libs:
+        pytest.skip("numpy bundles no scipy-openblas")
+    import regtail
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["REGTAIL_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(regtail.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))
+    script = ("import ctypes, sys, regtail\n"
+              "fn = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
+              "fn.argtypes = []\n"
+              "fn.restype = ctypes.c_int\n"
+              "print(fn())\n")
+    out = subprocess.run([sys.executable, "-c", script, str(libs[0])], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_construct_grid_json_and_csv(capsys):

@@ -2,14 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regtail.errors import PreconditionError
 from regtail.exponents import (HalfExpPolynomial, classify_and_rate,
                                contributing_subgraphs, cycle_constant, gamma,
-                               k0_variational_min, p_polynomial, rho)
-from regtail.fractional import enumerate_max_matchings, valid_subsets
-from regtail.graphs import (Graph, complete_bipartite, complete_graph,
-                            cycle_graph, cycle_union, k0_graph)
+                               k0_variational_min, p_polynomial, rho,
+                               subgraph_census)
+from regtail.fractional import (cover_number, enumerate_max_matchings,
+                                minimum_covers, valid_subsets)
+from regtail.graphs import (Graph, butterfly, complete_bipartite,
+                            complete_graph, cycle_graph, cycle_union, k0_graph,
+                            two_core)
 from conftest import small_corpus
 
 
@@ -72,6 +77,85 @@ def rho_grid_oracle(poly, delta, rounds=9, res=600):
         box = (max(0.0, float(zz[near].min()) - cell), float(zz[near].max()) + cell,
                max(0.0, float(ww[near].min()) - cell), float(ww[near].max()) + cell)
     return best
+
+
+def edge_subsets_oracle(g):
+    """Every edge-subset subgraph of g, one Graph per bitmask."""
+    es = g.sorted_edges()
+    for mask in range(1 << len(es)):
+        yield g.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)
+
+
+def census_oracle(g):
+    """The census the slow way: one Graph and one two_core per edge subset.
+
+    Returns (distinct cores, gamma value, gamma witness, forest flag,
+    contributing subgraphs, P's coefficients in insertion order).
+    """
+    seen, cores = set(), []
+    for sub in edge_subsets_oracle(g):
+        core = two_core(sub)
+        if core.edges not in seen:
+            seen.add(core.edges)
+            cores.append(core)
+    cores.sort(key=lambda h: (h.n_edges, h.sorted_edges()))
+    nonempty = [h for h in cores if not h.is_empty]
+    forest = not nonempty
+    candidates = nonempty or [h for h in edge_subsets_oracle(g) if not h.is_empty]
+    best, best_h = None, None
+    for h in candidates:
+        ratio = Fraction(h.n_edges - h.n_vertices) / cover_number(h)
+        if best is None or ratio > best:
+            best, best_h = ratio, h
+    contributing = [g.subgraph([])]
+    if not forest:
+        contributing += [h for h in nonempty
+                         if h.n_edges - h.n_vertices == best * cover_number(h)]
+    coeffs = {(0, 0): 1}
+    for h in contributing[1:]:
+        c2 = int(2 * cover_number(h))
+        seen_ones = set()
+        for cover in minimum_covers(h):
+            ones = cover.ones()
+            if ones not in seen_ones:
+                seen_ones.add(ones)
+                key = (len(ones), c2 - 2 * len(ones))
+                coeffs[key] = coeffs.get(key, 0) + 1
+    return cores, best, best_h, forest, contributing, coeffs
+
+
+def assert_census_matches_oracle(g):
+    census = subgraph_census(g)
+    cores, value, witness, forest, contributing, coeffs = census_oracle(g)
+    assert [h.edges for h in census.cores] == [h.edges for h in cores]
+    assert census.covers == [cover_number(h) for h in cores]
+    assert (census.gamma.value, census.gamma.forest) == (value, forest)
+    assert census.gamma.witness.edges == witness.edges
+    assert [h.edges for h in census.contributing] == [h.edges for h in contributing]
+    assert [set(a) for a in census.valid] == [valid_subsets(h) for h in contributing]
+    # Insertion order too: P is evaluated term by term in that order.
+    assert list(census.polynomial.coeffs.items()) == list(coeffs.items())
+    assert gamma(g) == census.gamma
+    assert [h.edges for h in contributing_subgraphs(g)] == [h.edges for h in contributing]
+    assert p_polynomial(g) == census.polynomial
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(4), complete_graph(5), butterfly(), complete_bipartite(2, 3),
+    complete_bipartite(2, 4), complete_bipartite(3, 3), k0_graph(),
+    Graph(list(k0_graph().edges) + [(10, 11), (11, 12), (12, 10)]),
+], ids=["K4", "K5", "butterfly", "K23", "K24", "K33", "K0", "K0+C3"])
+def test_census_matches_graph_per_mask_oracle(g):
+    assert_census_matches_oracle(g)
+
+
+PAIRS_ON_8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(PAIRS_ON_8), min_size=1, max_size=10))
+def test_census_matches_oracle_on_random_graphs(edges):
+    assert_census_matches_oracle(Graph(edges))
 
 
 def test_gamma_pinned(k23, k0, triangle):

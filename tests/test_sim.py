@@ -5,7 +5,7 @@ import pytest
 
 from regtail.errors import BudgetExhaustedError, PreconditionError
 from regtail.graphs import Graph, complete_bipartite, cycle_graph, k0_graph
-from regtail.graphons import BlockGraphon, build_w0, hom_density
+from regtail.graphons import BlockGraphon, build_w0
 from regtail.sim import (PStarSpec, SimGraph, cycle_hom_oracle,
                          hom_count, hom_counts_dense, planted_comparison,
                          sample_gnp, sample_pstar, sample_regular,
@@ -253,17 +253,19 @@ def test_planted_comparison_constant_graphon():
 
 
 def test_planted_comparison_w1_k0_injective():
-    # The raised-density construction boosts the K0 embedding count by about
-    # Hom(K0, W)/p^9; at desk scale only the injective column tracks it, and
-    # the hub class needs enough vertices (here 11) for distinct placements
-    # of the two degree-4 vertices.
+    # The raised-density construction boosts the K0 embedding count; the
+    # injective column is checked against the exact finite-n injective ratio
+    # of the model sample_pstar draws (51.60 here), and the hub class needs
+    # enough vertices (here 11) for distinct placements of the two degree-4
+    # vertices.
+    from planted_oracle import exact_planted_ratios
     from regtail.graphons import build_w1
     n, p = 800, 0.07
     w = build_w1(4.0, 1.0, p)
     assert PStarSpec.from_graphon(w, n, p).boundaries[1] >= 8
-    pred = hom_density(k0_graph(), w) / p ** 9
+    _, exact_inj = exact_planted_ratios(k0_graph(), w, n, p)
     out = planted_comparison(k0_graph(), w, n, p, 15, 8)
-    assert abs(out.ratio_injective / pred - 1.0) < 0.30
+    assert abs(out.ratio_injective / exact_inj - 1.0) < 0.30
 
 
 def test_simgraph_edge_list_round_trip():
