@@ -25,8 +25,9 @@ from .errors import (BudgetExhaustedError, CapExceededError,
                      EdgeListParseError, InfeasibleConstructionError,
                      PreconditionError)
 from .exponents import classify_and_rate, rho, subgraph_census
-from .fractional import frac_vertex_cover_number
-from .graphs import Graph, delta_star, describe_subgraph, is_forest, make_named, parse_edge_list
+from .fractional import DEFAULT_COVER_CAP, frac_vertex_cover_number
+from .graphs import (DEFAULT_SUBSET_CAP, Graph, delta_star, describe_subgraph, is_forest,
+                     make_named, parse_edge_list)
 from .graphons import (ConditionThresholds, build_w0, build_w1, check_conditions,
                        hom_density, ip_total, regularity_residual)
 from .holder import verify_batch
@@ -59,13 +60,13 @@ def _load_graph(args) -> tuple[Graph, list[str]]:
 
 
 def _parse_caps(args) -> dict[str, int]:
-    caps = {"edges": 16, "cover": 12, "matching": 13}
+    caps = {"edges": DEFAULT_SUBSET_CAP, "cover": DEFAULT_COVER_CAP}
     raw = getattr(args, "caps", None)
     if raw:
         for item in raw.split(","):
             key, _, value = item.partition("=")
             if key not in caps or not value.isdigit():
-                raise PreconditionError(f"bad cap {item!r}; use edges=/cover=/matching=")
+                raise PreconditionError(f"bad cap {item!r}; use edges=/cover=")
             caps[key] = int(value)
     return caps
 
@@ -116,6 +117,15 @@ def _emit(args, payload: dict, rows=None, header=None) -> None:
         sys.stdout.write(text)
 
 
+def _subgraph_keys(subgraphs: list[Graph], g: Graph) -> list[str]:
+    """Display names of subgraphs of g, made unique: a name shared by
+    several subgraphs gets each one's sorted edge labels appended."""
+    names = [describe_subgraph(h, g) for h in subgraphs]
+    return [name if names.count(name) == 1 else
+            f"{name} [{', '.join(g.edge_label(e) for e in h.sorted_edges())}]"
+            for name, h in zip(names, subgraphs)]
+
+
 def cmd_invariants(args) -> None:
     g, warnings = _load_graph(args)
     payload: dict = {"graph": {"name": g.name, "vertices": list(g.vertices),
@@ -135,15 +145,16 @@ def cmd_invariants(args) -> None:
         payload["classification"] = "forest: upper tail trivial"
         _emit(args, payload)
         return
-    census = subgraph_census(g, caps["edges"], caps["cover"], caps["matching"])
+    census = subgraph_census(g, caps["edges"], caps["cover"])
     payload["gamma"] = str(census.gamma.value)
     payload["contributing"] = [describe_subgraph(h, g) for h in census.contributing]
-    nonempty = [(describe_subgraph(h, g), bad, valid) for h, bad, valid in
+    nonempty = [(h, bad, valid) for h, bad, valid in
                 zip(census.contributing, census.bad_edges(), census.valid) if not h.is_empty]
-    payload["bad_edges"] = {name: [g.edge_label(e) for e in sorted(bad)]
-                            for name, bad, _ in nonempty}
-    payload["valid_subsets"] = {name: [sorted(a) for a in sorted(valid, key=sorted)]
-                                for name, _, valid in nonempty}
+    keys = _subgraph_keys([h for h, _, _ in nonempty], g)
+    payload["bad_edges"] = {key: [g.edge_label(e) for e in sorted(bad)]
+                            for key, (_, bad, _) in zip(keys, nonempty)}
+    payload["valid_subsets"] = {key: [sorted(a) for a in sorted(valid, key=sorted)]
+                                for key, (_, _, valid) in zip(keys, nonempty)}
     payload["P"] = census.polynomial.render()
     if args.delta is not None:
         payload["rho"] = rho(census.polynomial, args.delta)
@@ -153,8 +164,7 @@ def cmd_invariants(args) -> None:
 def cmd_rate(args) -> None:
     g, warnings = _load_graph(args)
     caps = _parse_caps(args)
-    report = classify_and_rate(g, args.delta, args.n, args.p,
-                               caps["edges"], caps["cover"], caps["matching"])
+    report = classify_and_rate(g, args.delta, args.n, args.p, caps["edges"], caps["cover"])
     _emit(args, {"warnings": warnings, "rate_report": report.to_jsonable()})
 
 
@@ -177,8 +187,7 @@ def _p_values(args) -> list[float]:
 def cmd_construct(args) -> None:
     g, _ = _load_graph(args)
     caps = _parse_caps(args)
-    census = None if args.w1 else subgraph_census(g, caps["edges"], caps["cover"],
-                                                   caps["matching"])
+    census = None if args.w1 else subgraph_census(g, caps["edges"], caps["cover"])
     e_k = g.n_edges
     rows = []
     for p in _p_values(args):
@@ -254,7 +263,9 @@ def _add_graph_source(sub) -> None:
 def _add_common(sub) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--caps", help="enumeration caps, e.g. edges=16,cover=12,matching=13")
+    sub.add_argument("--caps", help="enumeration caps: edges= bounds the pattern's edges "
+                                    "(2^e subsets), cover= the vertices of each enumerated "
+                                    "cover table (3^v rows), e.g. edges=16,cover=12")
 
 
 def _add_construction(sub) -> None:

@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import CapExceededError, PreconditionError
-from .fractional import (DEFAULT_COVER_CAP, DEFAULT_MATCHING_CAP, bad_edges,
-                         cover_number, minimum_covers)
+from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_number, minimum_covers
 from .graphs import (DEFAULT_SUBSET_CAP, Edge, Graph, cycle_union_core,
                      edge_subgraphs, two_core)
 from .graphons import ip_scalar
@@ -171,38 +170,34 @@ class SubgraphCensus:
     contributing: list[Graph]
     valid: list[list[frozenset[int]]]
     polynomial: HalfExpPolynomial
-    matching_cap: int
 
     def bad_edges(self) -> list[frozenset[Edge]]:
-        """Bad edges of each contributing subgraph, under the census's matching cap.
+        """Bad edges of each contributing subgraph.
 
-        Computed on request rather than at construction: the matching
-        tableau is the costliest solve here, and gamma, the contributing
-        subgraphs and P do not need it.
+        Computed on request rather than at construction: gamma, the
+        contributing subgraphs and P do not need them.
         """
-        return [bad_edges(h, self.matching_cap) for h in self.contributing]
+        return [bad_edges(h) for h in self.contributing]
 
 
 def subgraph_census(g: Graph, cap: int = DEFAULT_SUBSET_CAP,
-                    cover_cap: int = DEFAULT_COVER_CAP,
-                    matching_cap: int = DEFAULT_MATCHING_CAP) -> SubgraphCensus:
+                    cover_cap: int = DEFAULT_COVER_CAP) -> SubgraphCensus:
     """Scan the 2^e edge subsets of g once and derive gamma, the contributing
     subgraphs and P(z, w) from the distinct 2-cores.
 
-    ``cap`` bounds the edge count of g, ``cover_cap`` the vertex count of
-    each cover solve and ``matching_cap`` the edge count of each bad-edge
-    solve.
+    ``cap`` bounds the edge count of g and ``cover_cap`` the vertex count of
+    each contributing subgraph, whose minimum covers are enumerated.
     """
     if g.is_empty:
         raise PreconditionError("gamma needs at least one edge")
     cores = _distinct_cores(g, cap)
-    covers = [cover_number(h, cover_cap) for h in cores]
+    covers = [cover_number(h) for h in cores]
     best, best_h = _max_ratio((h, c) for h, c in zip(cores, covers) if not h.is_empty)
     forest = best_h is None
     if forest:
         # Every nonempty subgraph has e < v. Report the (negative) maximum
         # anyway, flagged, over all subsets since the cores are gone.
-        best, best_h = _max_ratio((h, cover_number(h, cover_cap))
+        best, best_h = _max_ratio((h, cover_number(h))
                                   for h in edge_subgraphs(g, cap) if not h.is_empty)
     gr = GammaResult(best, best_h, forest)
 
@@ -220,7 +215,7 @@ def subgraph_census(g: Graph, cap: int = DEFAULT_SUBSET_CAP,
             key = (len(a), int(2 * c) - 2 * len(a))
             coeffs[key] = coeffs.get(key, 0) + 1
     return SubgraphCensus(cores, covers, gr, contributing, valid,
-                          HalfExpPolynomial(coeffs), matching_cap)
+                          HalfExpPolynomial(coeffs))
 
 
 def gamma(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> GammaResult:
@@ -479,8 +474,7 @@ def _general_window(g: Graph, gamma_value: Fraction, n: float, p: float
 
 def classify_and_rate(g: Graph, delta: float, n: float, p: float,
                       cap: int = DEFAULT_SUBSET_CAP,
-                      cover_cap: int = DEFAULT_COVER_CAP,
-                      matching_cap: int = DEFAULT_MATCHING_CAP) -> RateReport:
+                      cover_cap: int = DEFAULT_COVER_CAP) -> RateReport:
     """Dispatch the applicable upper-tail rate formula.
 
     Order of dispatch: forest (trivial tail), 2-core a disjoint cycle union,
@@ -513,7 +507,7 @@ def classify_and_rate(g: Graph, delta: float, n: float, p: float,
             "n^{-1/3} << p << 1", bool(n ** (-1.0 / 3.0) < p < 1.0),
             f"2-core is a disjoint union of cycles {lengths}", inputs)
 
-    census = subgraph_census(g, cap, cover_cap, matching_cap)
+    census = subgraph_census(g, cap, cover_cap)
     gr = census.gamma
     window, in_window, _ = _general_window(g, gr.value, n, p)
 

@@ -1,9 +1,13 @@
 """Exact fractional vertex covers, matchings, and edge covers.
 
-Every optimum here is attained at a half-integral point, so the solvers
-enumerate weight vectors over {0, 1/2, 1} exactly (stored doubled as int8
-numpy tables) instead of running a floating-point LP. All reported values
-and witnesses are exact rationals.
+Values come from matchings: the fractional cover number and the bad edges
+are read off maximum matchings of the bipartite double cover, found by an
+augmenting-path search in polynomial time. Witnesses and optimal faces come
+from tables: every optimum here is attained at a half-integral point, so
+those solvers enumerate weight vectors over {0, 1/2, 1} exactly (stored
+doubled as int8 numpy tables) instead of running a floating-point LP, under
+a vertex cap (covers) or an edge cap (matchings and edge covers). All
+reported values and witnesses are exact rationals.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -96,6 +101,37 @@ def _edge_vector(g: Graph, row: np.ndarray, role: str) -> EdgeWeightVector:
 
 
 # ---------------------------------------------------------------------------
+# The bipartite double cover
+# ---------------------------------------------------------------------------
+
+def _double_cover_matching(g: Graph, skip: Optional[Edge] = None) -> int:
+    """Size of a maximum matching of the bipartite double cover B(g).
+
+    B(g) joins left u to right v, and left v to right u, for each edge uv;
+    ``skip=(u, v)`` drops the single arc from left u to right v. Kuhn's
+    augmenting-path search from every left vertex.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        if (u, v) != skip:
+            adj[u].append(v)
+        if (v, u) != skip:
+            adj[v].append(u)
+    mate: dict[int, int] = {}  # right vertex -> its left partner
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in mate or augment(mate[v], seen):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in adj)
+
+
+# ---------------------------------------------------------------------------
 # Vertex covers
 # ---------------------------------------------------------------------------
 
@@ -117,31 +153,35 @@ def _cover_candidates(g: Graph, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, best
 
 
-@lru_cache(maxsize=4096)
-def _cover_cached(edges: frozenset[Edge], cap: int):
-    g = Graph(edges)
-    rows, best = _cover_candidates(g, cap)
-    return g.vertices, rows, best
-
-
 def frac_vertex_cover_number(g: Graph, cap: int = DEFAULT_COVER_CAP) -> tuple[Fraction, HalfIntCover]:
-    """Exact minimum fractional vertex cover value with a half-integral witness."""
-    vertices, rows, best = _cover_cached(g.edges, cap)
-    witness = HalfIntCover({v: _doubled_to_fraction(rows[0][i]) for i, v in enumerate(vertices)},
+    """Exact minimum fractional vertex cover value with a half-integral witness.
+
+    The witness is the lexicographically first minimum cover of the table.
+    """
+    rows, best = _cover_candidates(g, cap)
+    witness = HalfIntCover({v: _doubled_to_fraction(rows[0][i]) for i, v in enumerate(g.vertices)},
                            _doubled_to_fraction(best))
     return _doubled_to_fraction(best), witness
 
 
-def cover_number(g: Graph, cap: int = DEFAULT_COVER_CAP) -> Fraction:
-    _, _, best = _cover_cached(g.edges, cap)
-    return _doubled_to_fraction(best)
+def cover_number(g: Graph) -> Fraction:
+    """Exact minimum fractional vertex cover value, nu(B(g)) / 2.
+
+    By LP duality this is the maximum fractional matching value. A
+    fractional matching of g, copied onto both arcs of each edge, is one of
+    the double cover B(g) of twice the size, and halving a matching of B(g)
+    over the two arcs of each edge gives one of g back. B(g) is bipartite,
+    so its matching polytope is integral and its optimum is nu(B(g))
+    (Nemhauser and Trotter, Math. Programming 1975).
+    """
+    return Fraction(_double_cover_matching(g), 2)
 
 
 def minimum_covers(g: Graph, cap: int = DEFAULT_COVER_CAP) -> list[HalfIntCover]:
     """All half-integral minimum covers (the vertices of the optimal face)."""
-    vertices, rows, best = _cover_cached(g.edges, cap)
+    rows, best = _cover_candidates(g, cap)
     total = _doubled_to_fraction(best)
-    return [HalfIntCover({v: _doubled_to_fraction(r[i]) for i, v in enumerate(vertices)}, total)
+    return [HalfIntCover({v: _doubled_to_fraction(r[i]) for i, v in enumerate(g.vertices)}, total)
             for r in rows]
 
 
@@ -209,24 +249,18 @@ def min_frac_edge_cover(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> tuple[Frac
     return _doubled_to_fraction(best), _edge_vector(g, row, "edge-cover")
 
 
-def bad_edges(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> frozenset[Edge]:
+def bad_edges(g: Graph) -> frozenset[Edge]:
     """Edges carrying weight 1 in every maximum fractional matching.
 
-    An edge e0 is bad iff capping w_{e0} at 1/2 strictly drops the optimum:
-    half-integrality of the optimal face makes this equivalent to the
-    universally-quantified definition.
+    An edge uv is bad iff dropping the arc from left u to right v lowers
+    nu(B(g)). A maximum fractional matching x with x_uv < 1 doubles onto
+    B(g) as a point of its optimal face below 1 on that arc, and the face is
+    integral, so some maximum matching of B(g) misses the arc; conversely,
+    halving such a matching gives x_uv <= 1/2. Swapping the two sides of
+    B(g) shows the other arc gives the same answer.
     """
-    if g.is_empty:
-        return frozenset()
-    es, table, sums, totals = _matching_tableau(g, cap)
-    feasible = (sums <= 2).all(axis=1)
-    best = int(totals[feasible].max())
-    bad = []
-    for j, e in enumerate(es):
-        capped = feasible & (table[:, j] <= 1)
-        if int(totals[capped].max()) < best:
-            bad.append(e)
-    return frozenset(bad)
+    best = _double_cover_matching(g)
+    return frozenset(e for e in g.edges if _double_cover_matching(g, skip=e) < best)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +341,7 @@ def strict_weight_pair(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> tuple[EdgeW
     deg = g.degrees()
     if g.is_empty or min(deg.values()) < 2:
         raise PreconditionError("strict pair needs minimum degree >= 2")
-    if bad_edges(g, cap):
+    if bad_edges(g):
         raise PreconditionError("graph has a bad edge; no strict pair exists")
     maxima = enumerate_max_matchings(g, cap)
     chosen = []

@@ -82,7 +82,7 @@ def test_rate_honours_caps(capsys):
                 "complete-bipartite:2,3": ("rho-exact", "1/2", 1.0, 218442.402006354)}
     for family, (kind, gamma_value, constant, rate) in expected.items():
         reports = []
-        for caps in ((), ("--caps", "edges=16,cover=12,matching=13")):
+        for caps in ((), ("--caps", "edges=16,cover=12")):
             code, out, _ = run_cli(capsys, "rate", "--family", family, *RATE_ARGS, *caps)
             assert code == 0
             reports.append(json.loads(out)["rate_report"])
@@ -91,6 +91,51 @@ def test_rate_honours_caps(capsys):
         assert (report["classification"], report["gamma"]) == (kind, gamma_value)
         assert report["constant"] == pytest.approx(constant, rel=1e-12)
         assert report["rate"] == pytest.approx(rate, rel=1e-12)
+
+
+def test_matching_cap_is_gone(capsys):
+    # Bad edges and cover numbers come from matchings, so no cap bounds the
+    # edges of a matching solve any more.
+    code, _, err = run_cli(capsys, "rate", "--family", "k0", *RATE_ARGS,
+                           "--caps", "matching=13")
+    assert code == 2 and "bad cap 'matching=13'; use edges=/cover=" in err
+
+
+K6_MINUS_EDGE = "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6)
+                        if (u, v) != (4, 5))
+
+
+def test_rate_k6_minus_edge(capsys, tmp_path):
+    # 14 edges: beyond the old 13-edge matching cap, which made this exit 3.
+    path = tmp_path / "k6e.el"
+    path.write_text(K6_MINUS_EDGE)
+    code, out, _ = run_cli(capsys, "rate", "--file", str(path), *RATE_ARGS)
+    assert code == 0
+    report = json.loads(out)["rate_report"]
+    assert (report["classification"], report["gamma"]) == ("rho-exact", "8/3")
+
+
+def test_invariants_k6_minus_edge(capsys, tmp_path):
+    path = tmp_path / "k6e.el"
+    path.write_text(K6_MINUS_EDGE)
+    code, out, _ = run_cli(capsys, "invariants", "--file", str(path))
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["cover_number"] == "3"
+    assert blob["contributing"] == ["empty", "H(v=6,e=14)"]
+    assert blob["bad_edges"] == {"H(v=6,e=14)": []}
+
+
+def test_invariants_keys_unique_for_equal_names(capsys):
+    # Both triangles of C3+C3 contribute and share the display name C3; each
+    # map keeps one entry per contributing subgraph.
+    code, out, _ = run_cli(capsys, "invariants", "--family", "disjoint-union:3,3")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["contributing"] == ["empty", "C3", "C3", "C3+C3"]
+    keys = ["C3 [0-1, 0-2, 1-2]", "C3 [3-4, 3-5, 4-5]", "C3+C3"]
+    assert sorted(blob["bad_edges"]) == keys
+    assert sorted(blob["valid_subsets"]) == keys
 
 
 def test_regtail_threads_sizes_the_blas_pool():

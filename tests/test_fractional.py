@@ -5,15 +5,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regtail.errors import CapExceededError, PreconditionError
-from regtail.fractional import (EdgeWeightVector, bad_edges, cover_to_matching,
+from regtail.fractional import (EdgeWeightVector, _matching_tableau, bad_edges,
+                                cover_number, cover_to_matching,
                                 enumerate_max_matchings, frac_vertex_cover_number,
                                 matching_to_cover, max_frac_matching,
                                 min_frac_edge_cover, strict_weight_pair,
                                 valid_subsets, weight_pair)
-from regtail.graphs import Graph, complete_bipartite, complete_graph, cycle_graph
+from regtail.graphs import (Graph, butterfly, complete_bipartite, complete_graph,
+                            cycle_graph, edge_subgraphs, k0_graph)
 from conftest import small_corpus
 
 H = Fraction(1, 2)
+
+
+def bad_edges_oracle(g):
+    """Bad edges from the 3^e tableau of half-integral edge weightings: an
+    edge is bad iff capping its weight at 1/2 lowers the maximum."""
+    if g.is_empty:
+        return frozenset()
+    es, table, sums, totals = _matching_tableau(g, g.n_edges)
+    feasible = (sums <= 2).all(axis=1)
+    best = int(totals[feasible].max())
+    return frozenset(e for j, e in enumerate(es)
+                     if int(totals[feasible & (table[:, j] <= 1)].max()) < best)
+
+
+def assert_matcher_agrees_with_tables(g):
+    assert cover_number(g) == frac_vertex_cover_number(g)[0], sorted(g.edges)
+    assert bad_edges(g) == bad_edges_oracle(g), sorted(g.edges)
 
 
 def test_cover_numbers_pinned(k23, k24, k0, bfly):
@@ -148,6 +167,23 @@ def test_bad_edges_against_enumeration(k0, bfly, triangle):
         maxima = enumerate_max_matchings(g)
         expected = {e for e in g.edges if all(m.weights[e] == 1 for m in maxima)}
         assert bad_edges(g) == frozenset(expected)
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), complete_bipartite(3, 3),
+                               complete_bipartite(2, 4), k0_graph(), butterfly()],
+                         ids=["K5", "K33", "K24", "K0", "butterfly"])
+def test_matcher_against_tables_on_every_subset(g):
+    for h in edge_subgraphs(g):
+        assert_matcher_agrees_with_tables(h)
+
+
+PAIRS_ON_8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(PAIRS_ON_8), max_size=12))
+def test_matcher_against_tables_random(edges):
+    assert_matcher_agrees_with_tables(Graph(edges))
 
 
 def test_valid_subsets_pinned(k23, k0, triangle):
