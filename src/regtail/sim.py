@@ -1,12 +1,14 @@
 """Desk-scale random regular graph sampling and homomorphism counting.
 
 The sampler proposes pairings of stubs and rejects non-simple outcomes,
-which is exactly uniform conditioned on success; when the rejection budget
-runs out (degrees where almost every pairing collides) it falls back to a
-repair strategy and relies on a long double-edge-swap walk for mixing, with
-the provenance recording which path produced the sample. Tail probabilities
-at asymptotic scale are unreachable here by design; the module targets
-moderate sizes and planted-mean comparisons.
+which is exactly uniform conditioned on success, so such a sample is
+returned as drawn. When the rejection budget runs out (degrees where almost
+every pairing collides) it falls back to a repair strategy, and only then
+runs a long double-edge-swap walk for mixing. The provenance records which
+path produced the sample and how many swap steps it took (``swap_steps``,
+0 on the exact path). Tail probabilities at asymptotic scale are
+unreachable here by design; the module targets moderate sizes and
+planted-mean comparisons.
 """
 
 from __future__ import annotations
@@ -140,20 +142,26 @@ def _repair_attempt(n: int, d: int, rng: np.random.Generator) -> Optional[list[t
 
 
 def _swap_walk(g: SimGraph, steps: int, rng: np.random.Generator) -> int:
-    """Double-edge swaps {ab, cd} -> {ac, bd}; invalid proposals are skipped."""
+    """Double-edge swaps {ab, cd} -> {ac, bd}; invalid proposals are skipped.
+
+    A proposal (i, j, flip) does not depend on the walk's state, so all of
+    them are drawn up front, in three vectorised calls.
+    """
     edge_list = g.edges()
-    edge_set = set(edge_list)
-    applied = 0
     m = len(edge_list)
-    if m < 2:
+    if m < 2 or steps <= 0:
         return 0
-    for _ in range(steps):
-        i, j = rng.integers(0, m, size=2)
+    edge_set = set(edge_list)
+    firsts = rng.integers(0, m, size=steps).tolist()
+    seconds = rng.integers(0, m, size=steps).tolist()
+    flips = rng.integers(0, 2, size=steps).tolist()
+    applied = 0
+    for i, j, flip in zip(firsts, seconds, flips):
         if i == j:
             continue
         a, b = edge_list[i]
         c, d = edge_list[j]
-        if rng.integers(0, 2):
+        if flip:
             c, d = d, c
         # Proposed new edges: (a, c) and (b, d).
         if a == c or b == d:
@@ -193,10 +201,14 @@ def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
                    allow_repair: bool = True) -> SimGraph:
     """One d-regular graph on n vertices, deterministic in (n, d, seed).
 
-    Pairing proposals are rejected until simple (uniform conditioned on
-    success); after ``reject_budget`` misses the repair fallback builds a
-    simple pairing greedily, flagged in the provenance as approximate. The
-    sample is then randomized by swap_factor * n * d double-edge swaps.
+    Pairing proposals are rejected until simple; the accepted pairing is
+    uniform over d-regular graphs (a configuration model conditioned on
+    simplicity) and is returned as it is. After ``reject_budget`` misses the
+    repair fallback builds a simple pairing greedily, flagged in the
+    provenance as ``pairing-repair``, and randomizes it by
+    swap_factor * n * d double-edge swaps. The provenance records those
+    steps as ``swap_steps`` (0 on the exact path) and the accepted swaps as
+    ``swaps_applied``.
     """
     if n * d % 2 != 0:
         raise PreconditionError("n*d must be even")
@@ -221,10 +233,13 @@ def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
                 break
         if edges is None:
             raise BudgetExhaustedError("repair fallback failed to complete a pairing")
+    # The swap chain keeps the uniform law stationary, so it adds nothing to
+    # an accepted pairing; only a repaired one needs mixing.
+    steps = swap_factor * n * d if sampler == "pairing-repair" else 0
     g = SimGraph.from_edges(n, edges, {"sampler": sampler, "seed": seed,
-                                       "attempts": attempts, "n": n, "d": d})
-    swaps = _swap_walk(g, swap_factor * n * d, rng)
-    g.provenance["swaps_applied"] = swaps
+                                       "attempts": attempts, "n": n, "d": d,
+                                       "swap_steps": steps})
+    g.provenance["swaps_applied"] = _swap_walk(g, steps, rng)
     if g.degrees() != [d] * n:
         raise PreconditionError("internal error: sample is not d-regular")
     return g
@@ -234,67 +249,139 @@ def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
 # Homomorphism counting
 # ---------------------------------------------------------------------------
 
-def _component_order(g: Graph) -> list[list[tuple[int, list[int]]]]:
-    """Per component: BFS vertex order with each vertex's earlier neighbors."""
+@dataclass(frozen=True)
+class HomPlan:
+    """Search order of ``hom_count`` for one pattern.
+
+    Per component, ``branch`` holds, for each vertex placed by
+    backtracking, the positions of its earlier neighbors in the branch
+    order, and ``leaves`` holds the same for the vertices counted in closed
+    form. The leaves are pairwise non-adjacent, so once the branch is placed
+    their images are independent, and their count is the product of the
+    popcounts of their candidate sets.
+    """
+
+    edges: frozenset
+    components: tuple[tuple[tuple, tuple], ...]  # (branch, leaves) per component
+
+
+def _components(g: Graph) -> list[list[int]]:
     nbr = g.neighbors()
     seen: set[int] = set()
-    plans = []
+    comps = []
     for start in g.vertices:
         if start in seen:
             continue
-        order = [start]
+        comp = [start]
         seen.add(start)
-        i = 0
-        while i < len(order):
-            for u in sorted(nbr[order[i]]):
+        for v in comp:
+            for u in sorted(nbr[v]):
                 if u not in seen:
                     seen.add(u)
-                    order.append(u)
-            i += 1
-        plan = []
-        for idx, v in enumerate(order):
-            anchors = [order.index(u) for u in nbr[v] if order.index(u) < idx]
-            plan.append((v, anchors))
-        plans.append(plan)
-    return plans
+                    comp.append(u)
+        comps.append(comp)
+    return comps
 
 
-def hom_count(pattern: Graph, g: SimGraph) -> int:
-    """Exact number of edge-preserving vertex maps from the pattern into g.
+def _branch_order(branch: list[int], nbr: dict[int, set[int]]) -> list[int]:
+    """Greedy order: next is the vertex with the most placed neighbors,
+    then the most neighbors in the branch."""
+    order: list[int] = []
+    left = set(branch)
+    while left:
+        v = max(sorted(left), key=lambda x: (len(nbr[x] & set(order)), len(nbr[x] & left)))
+        order.append(v)
+        left.discard(v)
+    return order
 
-    Backtracking with adjacency-bitmask pruning; counts all homomorphisms,
-    not just injective ones. Capped at 6 pattern vertices and 64 target
-    vertices.
+
+def hom_plan(pattern: Graph, n: int, p: float) -> HomPlan:
+    """The cheapest search order of ``hom_count`` for targets on n vertices
+    with edge density p.
+
+    For each component, every independent set is tried as the leaves, with
+    the rest ordered greedily as the branch. The cost counts the expected
+    search nodes in G(n, p), n^k p^(edges among the first k branch
+    vertices) at branch depth k, in units of one candidate step: a node
+    that calls the next level costs 8 more and a leaf candidate set 2 (the
+    ratios of their measured times).
     """
     if pattern.n_vertices > HOM_VERTEX_CAP:
         raise CapExceededError(f"pattern has more than {HOM_VERTEX_CAP} vertices")
+    nbr = pattern.neighbors()
+    plans = []
+    for comp in _components(pattern):
+        best = None
+        for mask in range(1, 1 << len(comp)):
+            leaves = [v for i, v in enumerate(comp) if mask >> i & 1]
+            if any(u in nbr[v] for i, v in enumerate(leaves) for u in leaves[i + 1:]):
+                continue
+            order = _branch_order([v for v in comp if v not in leaves], nbr)
+            maps, cost = 1.0, 0.0
+            for k, v in enumerate(order):
+                cost += 8 * maps  # one call per node of the level above
+                maps *= n * p ** len(nbr[v] & set(order[:k]))
+                cost += maps
+            cost += 2 * len(leaves) * maps
+            if best is None or cost < best[0]:
+                best = (cost, order, leaves)
+        _, order, leaves = best
+        pos = {v: k for k, v in enumerate(order)}
+        branch = tuple(tuple(pos[u] for u in sorted(nbr[v]) if u in pos and pos[u] < k)
+                       for k, v in enumerate(order))
+        plans.append((branch, tuple(tuple(sorted(pos[u] for u in nbr[v])) for v in leaves)))
+    return HomPlan(pattern.edges, tuple(plans))
+
+
+def _count_component(branch, leaves, rows: list[int], full: int) -> int:
+    last = len(branch) - 1
+    images = [0] * len(branch)
+
+    def place(level: int) -> int:
+        cand = full
+        for a in branch[level]:
+            cand &= rows[images[a]]
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            images[level] = low.bit_length() - 1
+            if level < last:
+                total += place(level + 1)
+                continue
+            product = 1
+            for anchors in leaves:
+                common = full
+                for a in anchors:
+                    common &= rows[images[a]]
+                product *= common.bit_count()
+                if not product:
+                    break
+            total += product
+        return total
+
+    return place(0)
+
+
+def hom_count(pattern: Graph, g: SimGraph, plan: Optional[HomPlan] = None) -> int:
+    """Exact number of edge-preserving vertex maps from the pattern into g.
+
+    Backtracking with adjacency-bitmask pruning over the branch vertices of
+    ``plan``, with the pairwise non-adjacent leaves counted in closed form;
+    counts all homomorphisms, not just injective ones. ``plan`` defaults to
+    ``hom_plan(pattern, g.n, density of g)``; pass one to reuse it across
+    many targets. Capped at 6 pattern vertices and 64 target vertices.
+    """
     if g.n > HOM_N_CAP:
         raise CapExceededError(f"target has more than {HOM_N_CAP} vertices")
-    if pattern.is_empty:
-        return 1
+    if plan is None:
+        plan = hom_plan(pattern, g.n, sum(g.degrees()) / g.n ** 2 if g.n else 0.0)
+    elif plan.edges != pattern.edges:
+        raise PreconditionError("the plan was built for another pattern")
     full = (1 << g.n) - 1
-    rows = g.rows
     total = 1
-    for plan in _component_order(pattern):
-        k = len(plan)
-
-        def count_from(level: int, assigned: list[int]) -> int:
-            cand = full
-            for a in plan[level][1]:
-                cand &= rows[assigned[a]]
-            if level == k - 1:
-                return cand.bit_count()
-            subtotal = 0
-            while cand:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                cand ^= low
-                assigned.append(v)
-                subtotal += count_from(level + 1, assigned)
-                assigned.pop()
-            return subtotal
-
-        total *= count_from(0, [])
+    for branch, leaves in plan.components:
+        total *= _count_component(branch, leaves, g.rows, full)
     return total
 
 
@@ -511,10 +598,11 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
     """
     p = d / n
     threshold = (1.0 + delta) * p ** pattern.n_edges * float(n) ** pattern.n_vertices
+    plan = hom_plan(pattern, n, p)
     hits = 0
     for t in range(trials):
         g = sample_regular(n, d, [seed, t], **sampler_kwargs)
-        if hom_count(pattern, g) >= threshold:
+        if hom_count(pattern, g, plan) >= threshold:
             hits += 1
     return TailEstimate(trials, hits, hits / trials if trials else 0.0,
                         wilson_interval(hits, trials), threshold, seed)
