@@ -26,6 +26,9 @@ from .graphons import BlockGraphon, hom_density
 HOM_VERTEX_CAP = 6
 HOM_N_CAP = 64
 CYCLE_POWER_CAP = 12
+DENSE_N_CAP = 1 << 24  # float32 holds every codegree below 2^24 exactly
+K0_EDGE_CHUNK = 4096
+K0_GATHER_CAP = 1 << 20  # codegree entries per gather in the K0 counter
 
 
 @dataclass
@@ -408,45 +411,87 @@ def cycle_hom_oracle(k: int, g: SimGraph) -> int:
 # Dense counters for patterns at sizes beyond the backtracking caps
 # ---------------------------------------------------------------------------
 
-def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[float, float]:
-    """(all-maps count, injective count) via matrix identities.
+def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[int, int]:
+    """(all-maps count, injective count) as exact Python ints, from the
+    codegree matrix C = A·A of the symmetric 0/1 adjacency matrix ``adj``.
 
-    Supports complete bipartite K_{2,m} and the K_{2,4}-plus-an-edge
-    pattern; these cover the planted-comparison workloads where n is far
-    beyond the backtracking cap.
+    C comes from one float32 matmul, which is exact while n < 2^24 (larger
+    targets raise ``CapExceededError``), and both counts are sums over the
+    histogram h of codegree values, h[k] = #{entries equal to k}, taken in
+    Python ints, so no count is rounded or overflows.
+
+    - K_{2,m} (P3 = K_{1,2} and C4 = K_{2,2} included): the two-vertex side
+      goes to a pair (u, v) and the m others to common neighbours, so
+      Hom = sum_k h[k] k^m over all of C, and the injective count is
+      sum_k h'[k] k(k-1)...(k-m+1) with h' the histogram off the diagonal.
+    - K0 (K_{2,4} plus an edge xy on the four-side): x, y go to an ordered
+      edge, the hubs to common neighbours u, v of x and y, and the other
+      two vertices to common neighbours of u and v. Here h counts C[u, v]
+      over the (edge, u, v) triples with u != v, and the u = v triples add
+      deg(u)^2 each: Hom = 2 (sum_k h[k] k^2 + sum deg(u)^2), and the
+      injective count is 2 sum_k h[k] (k-2)(k-3). The edges are handled in
+      vectorised chunks, which bounds memory.
+
+    These cover the planted-comparison workloads, where n is far beyond the
+    backtracking cap; other patterns raise ``CapExceededError``.
     """
     from .graphs import is_complete_bipartite
     from .exponents import _is_k0
 
+    sides = is_complete_bipartite(pattern)
+    k2m = sides is not None and 2 in sides
+    if not k2m and not _is_k0(pattern):
+        raise CapExceededError("no dense counter for this pattern; use hom_count")
     a = np.asarray(adj, dtype=np.float32)
-    ab = is_complete_bipartite(pattern)
-    if ab is not None and ab[0] == 2:
-        m = ab[1]
-        c = (a @ a).astype(np.float64)
-        hom = float((c ** m).sum())
-        offdiag = c.copy()
-        np.fill_diagonal(offdiag, 0.0)
-        inj = offdiag.copy()
-        for t in range(1, m):
-            inj *= np.maximum(offdiag - t, 0.0)
-        np.fill_diagonal(inj, 0.0)
-        return hom, float(inj.sum())
-    if _is_k0(pattern):
-        c = (a @ a).astype(np.float64)
-        hom = inj = 0.0
-        rows_bool = a.astype(bool)
-        xs, ys = np.nonzero(np.triu(a, 1))
-        for x, y in zip(xs, ys):
-            common = np.flatnonzero(rows_bool[x] & rows_bool[y])
-            sub = c[np.ix_(common, common)]
-            hom += 2.0 * float((sub ** 2).sum())
-            off = sub.copy()
-            np.fill_diagonal(off, 0.0)
-            inj_sub = np.maximum(off - 2.0, 0.0) * np.maximum(off - 3.0, 0.0)
-            np.fill_diagonal(inj_sub, 0.0)
-            inj += 2.0 * float(inj_sub.sum())
+    n = a.shape[0]
+    if n >= DENSE_N_CAP:
+        raise CapExceededError(f"target has {n} vertices; float32 codegrees "
+                               f"are exact only below {DENSE_N_CAP}")
+    # A is symmetric, so A·A = A·Aᵀ, which numpy runs as one syrk: half the flops.
+    c = (a @ a.T).astype(np.int64)
+    if k2m:
+        m = sum(sides) - 2
+        h = np.bincount(c.ravel())
+        h_off = (h - np.bincount(np.diagonal(c), minlength=len(h))).tolist()
+        hom = sum(hk * k ** m for k, hk in enumerate(h.tolist()))
+        inj = sum(hk * math.perm(k, m) for k, hk in enumerate(h_off))
         return hom, inj
-    raise CapExceededError("no dense counter for this pattern; use hom_count")
+    h, hubs = _k0_codegree_histogram(a.astype(bool), c)
+    diag = sum(d * d * t for d, t in zip(np.diagonal(c).tolist(), hubs.tolist()))
+    hom = 2 * (sum(hk * k * k for k, hk in enumerate(h)) + diag)
+    inj = 2 * sum(hk * (k - 2) * (k - 3) for k, hk in enumerate(h))
+    return hom, inj
+
+
+def _k0_codegree_histogram(adj: np.ndarray, c: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Histogram of C[u, v] over the triples (edge xy with x < y, u, v),
+    u != v common neighbours of x and y, and per vertex u the number of
+    edges xy it is a common neighbour of.
+
+    Edges go in chunks of ``K0_EDGE_CHUNK``; within a chunk they are grouped
+    by codegree k, so that the k x k blocks of C gather as one array, split
+    so that no gather exceeds ``K0_GATHER_CAP`` entries.
+    """
+    n = adj.shape[0]
+    xs, ys = np.nonzero(np.triu(adj, 1))
+    h = np.zeros(int(c.max(initial=0)) + 1, dtype=np.int64)
+    hubs = np.zeros(n, dtype=np.int64)
+    for s in range(0, len(xs), K0_EDGE_CHUNK):
+        common = adj[xs[s:s + K0_EDGE_CHUNK]] & adj[ys[s:s + K0_EDGE_CHUNK]]
+        # flatnonzero and divmod run several times faster than a 2-D nonzero.
+        rows, cols = np.divmod(np.flatnonzero(common), n)
+        hubs += np.bincount(cols, minlength=n)
+        sizes = np.bincount(rows, minlength=len(common))
+        starts = np.cumsum(sizes) - sizes
+        for k in np.unique(sizes[sizes >= 2]).tolist():
+            off = ~np.eye(k, dtype=bool)
+            first = starts[sizes == k]
+            step = max(1, K0_GATHER_CAP // (k * k))
+            for b in range(0, len(first), step):
+                u = cols[first[b:b + step, None] + np.arange(k)]
+                h += np.bincount(c[u[:, :, None], u[:, None, :]][:, off].ravel(),
+                                 minlength=len(h))
+    return h.tolist(), hubs
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +560,10 @@ class PStarSpec:
         return prob
 
 
-def _sample_bool(prob: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    upper = np.triu(rng.random(prob.shape) < prob, 1)
+def _sample_bool(prob, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric n x n 0/1 draw with pair probabilities ``prob``, an n x n
+    array or one float for every pair."""
+    upper = np.triu(rng.random((n, n)) < prob, 1)
     return upper | upper.T
 
 
@@ -529,7 +576,7 @@ def sample_pstar(spec: PStarSpec, seed, conditioned: bool = False,
     b = spec.boundaries
     k = len(b) - 1
     for attempt in range(1, budget + 1):
-        adj = _sample_bool(prob, rng)
+        adj = _sample_bool(prob, spec.n, rng)
         if not conditioned:
             break
         ok = True
@@ -554,7 +601,7 @@ def sample_pstar(spec: PStarSpec, seed, conditioned: bool = False,
 
 def sample_gnp(n: int, p: float, seed) -> SimGraph:
     rng = np.random.default_rng(seed)
-    adj = _sample_bool(np.full((n, n), p), rng)
+    adj = _sample_bool(p, n, rng)
     return SimGraph.from_bool_matrix(adj, {"sampler": "gnp", "seed": seed})
 
 
@@ -612,6 +659,8 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
 class PlantedComparison:
     """Monte Carlo means under the tilted model W* and under G(n, p).
 
+    Each mean is an exact integer sum of dense counts over the trials,
+    divided once by the trial count (int / int, so correctly rounded).
     ``ratio`` and ``ratio_injective`` are ratios of the finite-n means;
     ``predicted_ratio`` is their n -> infinity limit Hom(K, W*) / p^e for the
     sampled model W* (see ``PStarSpec``), not Hom(K, W) / p^e.
@@ -646,15 +695,21 @@ def planted_comparison(pattern: Graph, w: BlockGraphon, n: int, p: float,
     n the all-maps count carries a large degenerate-map component, which the
     injective column removes.
     """
+    if trials < 1:
+        raise PreconditionError("need at least one trial")
     spec = PStarSpec.from_graphon(w, n, p)
-    sums = np.zeros(4)
+    hom_s = inj_s = hom_b = inj_b = 0
     for t in range(trials):
         gs = sample_pstar(spec, [seed, 0, t])
-        hom_s, inj_s = hom_counts_dense(pattern, gs.adjacency())
+        hom, inj = hom_counts_dense(pattern, gs.adjacency(np.float32))
+        hom_s, inj_s = hom_s + hom, inj_s + inj
         ge = sample_gnp(n, p, [seed, 1, t])
-        hom_e, inj_e = hom_counts_dense(pattern, ge.adjacency())
-        sums += (hom_s, inj_s, hom_e, inj_e)
-    mean_ts, mean_ti, mean_bs, mean_bi = sums / trials
+        hom, inj = hom_counts_dense(pattern, ge.adjacency(np.float32))
+        hom_b, inj_b = hom_b + hom, inj_b + inj
+    # As numpy floats, a zero baseline mean gives an inf or nan ratio with a
+    # RuntimeWarning rather than a ZeroDivisionError.
+    mean_ts, mean_ti, mean_bs, mean_bi = (np.float64(total / trials)
+                                          for total in (hom_s, inj_s, hom_b, inj_b))
     w_star = BlockGraphon.create(w.sizes, np.where(spec.mask, w.values, p), w.labels)
     predicted = hom_density(pattern, w_star) / p ** pattern.n_edges
     return PlantedComparison(trials, mean_ts, mean_bs, mean_ts / mean_bs,

@@ -221,6 +221,14 @@ def test_plant_cli(capsys):
     assert blob["planted_comparison"]["predicted_ratio"] > 1.0
 
 
+def test_plant_cli_needs_a_trial(capsys):
+    code, out, err = run_cli(capsys, "plant", "--family", "complete-bipartite:2,3",
+                             "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
+                             "--n", "300", "--p", "0.05", "--trials", "0")
+    assert code == 2 and out == ""
+    assert "trial" in err
+
+
 def test_deterministic_output(capsys):
     args = ("invariants", "--family", "k0", "--delta", "2")
     _, first, _ = run_cli(capsys, *args)

@@ -1,12 +1,12 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtail.errors import BudgetExhaustedError, PreconditionError
+from regtail.errors import BudgetExhaustedError, CapExceededError, PreconditionError
 from regtail.graphs import (Graph, complete_bipartite, complete_graph, cycle_graph,
                             k0_graph)
 from regtail.graphons import BlockGraphon, build_w0
@@ -167,12 +167,15 @@ def test_disconnected_pattern_product():
     assert hom_count(two_edges, g) == (12 * 3) ** 2
 
 
-def brute_force_hom(pattern, g):
-    """Sum over all n^v vertex maps of the indicator that every edge maps to
-    an edge."""
+def brute_force_hom(pattern, g, injective=False):
+    """Sum over all n^v vertex maps (only the injective ones if asked) of
+    the indicator that every edge maps to an edge."""
     verts = list(pattern.vertices)
     idx = {v: i for i, v in enumerate(verts)}
-    maps = np.indices((g.n,) * len(verts)).reshape(len(verts), -1)
+    if injective:
+        maps = np.array(list(permutations(range(g.n), len(verts)))).T
+    else:
+        maps = np.indices((g.n,) * len(verts)).reshape(len(verts), -1)
     adj = g.adjacency(dtype=bool)
     ok = np.ones(maps.shape[1], dtype=bool)
     for u, v in pattern.edges:
@@ -224,26 +227,68 @@ def test_hom_plan_reuse_and_leaves():
         hom_count(cycle_graph(4), sample_gnp(7, 0.6, 0), plan)
 
 
+DENSE_PATTERNS = {
+    "P3": Graph([(0, 1), (1, 2)]),
+    "C4": complete_bipartite(2, 2),
+    "K23": complete_bipartite(2, 3),
+    "K24": complete_bipartite(2, 4),
+    "K0": k0_graph(),
+}
+
+
 def test_hom_counts_dense_cross_check():
-    patterns = [complete_bipartite(2, 3), complete_bipartite(2, 4), k0_graph()]
-    for seed in range(6):
-        g = sample_gnp(30, 0.3, seed)
-        a = g.adjacency()
-        for pat in patterns:
-            hom, inj = hom_counts_dense(pat, a)
-            assert hom == hom_count(pat, g)
-            assert inj <= hom
-    # injective count oracle by brute force on a tiny graph
-    g = sample_gnp(8, 0.5, 1)
-    pat = complete_bipartite(2, 3)
-    _, inj = hom_counts_dense(pat, g.adjacency())
-    brute = 0
-    import itertools
-    for combo in itertools.permutations(range(8), 5):
-        phi = dict(zip(pat.vertices, combo))
-        if all(g.has_edge(phi[u], phi[v]) for u, v in pat.edges):
-            brute += 1
-    assert inj == brute
+    # Exact ints: the all-maps count against backtracking, the injective
+    # count against enumeration of the injective maps.
+    from regtail.graphons import build_w1
+    small = [sample_gnp(9, 0.7, seed) for seed in range(3)]
+    medium = [sample_gnp(30, 0.3, seed) for seed in range(2)]
+    # One sample of the W1 planted model, whose hub class is complete to
+    # the mid class, as the planted comparison draws it (float32 input).
+    planted = sample_pstar(PStarSpec.from_graphon(build_w1(4.0, 1.0, 0.2), 40, 0.2), 7)
+    for name, pattern in DENSE_PATTERNS.items():
+        for g in small:
+            hom, inj = hom_counts_dense(pattern, g.adjacency())
+            assert type(hom) is int and type(inj) is int
+            assert (hom, inj) == (hom_count(pattern, g), brute_force_hom(pattern, g, True)), name
+        for g in medium:
+            assert hom_counts_dense(pattern, g.adjacency())[0] == hom_count(pattern, g), name
+        hom, _ = hom_counts_dense(pattern, planted.adjacency(np.float32))
+        assert hom == hom_count(pattern, planted), name
+
+
+def test_k0_dense_counter_chunks(monkeypatch):
+    # Edge chunks and gather splits of one edge each give the same counts.
+    from regtail import sim
+    g = sample_gnp(30, 0.4, 3)
+    whole = hom_counts_dense(k0_graph(), g.adjacency())
+    monkeypatch.setattr(sim, "K0_EDGE_CHUNK", 7)
+    monkeypatch.setattr(sim, "K0_GATHER_CAP", 1)
+    assert hom_counts_dense(k0_graph(), g.adjacency()) == whole
+
+
+def test_hom_counts_dense_exact_beyond_float():
+    # On the complete graph K_64 every codegree is 62 off the diagonal and
+    # 63 on it. Both K_{2,8} counts exceed 2^53, where float64 sums round.
+    k64 = np.ones((64, 64)) - np.eye(64)
+    hom, inj = hom_counts_dense(complete_bipartite(2, 8), k64)
+    assert hom == 64 * 63 ** 8 + 64 * 63 * 62 ** 8 and hom > 2 ** 53
+    assert inj == math.perm(64, 10) and inj > 2 ** 53
+    k12 = np.ones((12, 12)) - np.eye(12)
+    assert hom_counts_dense(k0_graph(), k12)[1] == math.perm(12, 6)
+    with pytest.raises(CapExceededError):
+        hom_counts_dense(cycle_graph(5), k12)
+    # float32 codegrees are exact only below 2^24 vertices (a broadcast view
+    # gives the shape without the memory).
+    with pytest.raises(CapExceededError):
+        hom_counts_dense(k0_graph(), np.broadcast_to(np.float32(0), (1 << 24, 1 << 24)))
+
+
+def test_sample_gnp_draws_unchanged():
+    # Comparing the uniforms with the scalar p gives the samples that the
+    # full n x n probability matrix gave.
+    for n, p, seed in ((1, 0.5, 0), (17, 0.3, 1), (40, 0.05, [2, 1, 0])):
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < np.full((n, n), p), 1)
+        assert np.array_equal(sample_gnp(n, p, seed).adjacency(bool), upper | upper.T)
 
 
 def test_pstar_er_fallback_mean():
