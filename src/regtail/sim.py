@@ -27,8 +27,7 @@ HOM_VERTEX_CAP = 6
 HOM_N_CAP = 64
 CYCLE_POWER_CAP = 12
 DENSE_N_CAP = 1 << 24  # float32 holds every codegree below 2^24 exactly
-K0_EDGE_CHUNK = 4096
-K0_GATHER_CAP = 1 << 20  # codegree entries per gather in the K0 counter
+K0_ENTRY_CAP = 1 << 20  # entries per edge chunk and per gather in the K0 counter
 
 
 @dataclass
@@ -468,16 +467,18 @@ def _k0_codegree_histogram(adj: np.ndarray, c: np.ndarray) -> tuple[list[int], n
     u != v common neighbours of x and y, and per vertex u the number of
     edges xy it is a common neighbour of.
 
-    Edges go in chunks of ``K0_EDGE_CHUNK``; within a chunk they are grouped
-    by codegree k, so that the k x k blocks of C gather as one array, split
-    so that no gather exceeds ``K0_GATHER_CAP`` entries.
+    Edges go in chunks whose n-wide common-neighbour rows hold at most
+    ``K0_ENTRY_CAP`` entries; within a chunk they are grouped by codegree k,
+    so that the k x k blocks of C gather as one array, split so that no
+    gather exceeds ``K0_ENTRY_CAP`` entries either.
     """
     n = adj.shape[0]
     xs, ys = np.nonzero(np.triu(adj, 1))
     h = np.zeros(int(c.max(initial=0)) + 1, dtype=np.int64)
     hubs = np.zeros(n, dtype=np.int64)
-    for s in range(0, len(xs), K0_EDGE_CHUNK):
-        common = adj[xs[s:s + K0_EDGE_CHUNK]] & adj[ys[s:s + K0_EDGE_CHUNK]]
+    chunk = max(1, K0_ENTRY_CAP // n)
+    for s in range(0, len(xs), chunk):
+        common = adj[xs[s:s + chunk]] & adj[ys[s:s + chunk]]
         # flatnonzero and divmod run several times faster than a 2-D nonzero.
         rows, cols = np.divmod(np.flatnonzero(common), n)
         hubs += np.bincount(cols, minlength=n)
@@ -486,7 +487,7 @@ def _k0_codegree_histogram(adj: np.ndarray, c: np.ndarray) -> tuple[list[int], n
         for k in np.unique(sizes[sizes >= 2]).tolist():
             off = ~np.eye(k, dtype=bool)
             first = starts[sizes == k]
-            step = max(1, K0_GATHER_CAP // (k * k))
+            step = max(1, K0_ENTRY_CAP // (k * k))
             for b in range(0, len(first), step):
                 u = cols[first[b:b + step, None] + np.arange(k)]
                 h += np.bincount(c[u[:, :, None], u[:, None, :]][:, off].ravel(),

@@ -236,12 +236,42 @@ DENSE_PATTERNS = {
 }
 
 
+def backtrack_injective(pattern, g):
+    """Injective homomorphisms by backtracking over neighbour sets, placing
+    first the pattern vertex with the most placed neighbours (then the
+    highest degree), so that every step after the first is a set intersection."""
+    nbr = {v: set() for v in pattern.vertices}
+    for u, v in pattern.edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    order = []
+    while len(order) < len(nbr):
+        order.append(max((v for v in nbr if v not in order),
+                         key=lambda v: (len(nbr[v] & set(order)), len(nbr[v]))))
+    adj = g.adjacency(dtype=bool)
+    target = [set(np.flatnonzero(row).tolist()) for row in adj]
+
+    def place(level, phi):
+        if level == len(order):
+            return 1
+        v = order[level]
+        cands = set(range(g.n))
+        for u in nbr[v]:
+            if u in phi:
+                cands &= target[phi[u]]
+        cands -= set(phi.values())
+        return sum(place(level + 1, {**phi, v: c}) for c in cands)
+
+    return place(0, {})
+
+
 def test_hom_counts_dense_cross_check():
-    # Exact ints: the all-maps count against backtracking, the injective
-    # count against enumeration of the injective maps.
+    # Exact ints: the all-maps count against hom_count, the injective count
+    # against enumeration of all injective maps (n=9) and against
+    # backtracking (n=30, where the K0 counter gathers larger codegree groups).
     from regtail.graphons import build_w1
     small = [sample_gnp(9, 0.7, seed) for seed in range(3)]
-    medium = [sample_gnp(30, 0.3, seed) for seed in range(2)]
+    medium = [sample_gnp(30, 0.3, seed) for seed in range(6)]
     # One sample of the W1 planted model, whose hub class is complete to
     # the mid class, as the planted comparison draws it (float32 input).
     planted = sample_pstar(PStarSpec.from_graphon(build_w1(4.0, 1.0, 0.2), 40, 0.2), 7)
@@ -251,18 +281,19 @@ def test_hom_counts_dense_cross_check():
             assert type(hom) is int and type(inj) is int
             assert (hom, inj) == (hom_count(pattern, g), brute_force_hom(pattern, g, True)), name
         for g in medium:
-            assert hom_counts_dense(pattern, g.adjacency())[0] == hom_count(pattern, g), name
+            hom, inj = hom_counts_dense(pattern, g.adjacency())
+            assert 0 <= inj <= hom, name
+            assert (hom, inj) == (hom_count(pattern, g), backtrack_injective(pattern, g)), name
         hom, _ = hom_counts_dense(pattern, planted.adjacency(np.float32))
         assert hom == hom_count(pattern, planted), name
 
 
 def test_k0_dense_counter_chunks(monkeypatch):
-    # Edge chunks and gather splits of one edge each give the same counts.
+    # One-edge chunks and one-edge gathers give the same counts.
     from regtail import sim
     g = sample_gnp(30, 0.4, 3)
     whole = hom_counts_dense(k0_graph(), g.adjacency())
-    monkeypatch.setattr(sim, "K0_EDGE_CHUNK", 7)
-    monkeypatch.setattr(sim, "K0_GATHER_CAP", 1)
+    monkeypatch.setattr(sim, "K0_ENTRY_CAP", 1)
     assert hom_counts_dense(k0_graph(), g.adjacency()) == whole
 
 
