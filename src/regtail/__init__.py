@@ -16,9 +16,9 @@ from .graphs import (Graph, butterfly, complete_bipartite, complete_graph,
                      is_forest, cycle_union_core, k0_graph, make_named,
                      parse_edge_list, two_core)
 from .fractional import (EdgeWeightVector, HalfIntCover, bad_edges,
-                         cover_to_matching, enumerate_max_matchings,
-                         frac_vertex_cover_number, matching_to_cover,
-                         max_frac_matching, min_frac_edge_cover, valid_subsets)
+                         cover_to_matching, frac_vertex_cover_number,
+                         matching_to_cover, max_frac_matching,
+                         min_frac_edge_cover, valid_subsets)
 from .exponents import (GammaResult, HalfExpPolynomial, RateReport,
                         SubgraphCensus, classify_and_rate,
                         contributing_subgraphs, cycle_constant, gamma,

@@ -1,13 +1,12 @@
 """Exact fractional vertex covers, matchings, and edge covers.
 
-Values come from matchings: the fractional cover number and the bad edges
-are read off maximum matchings of the bipartite double cover, found by an
-augmenting-path search in polynomial time. Witnesses and optimal faces come
-from tables: every optimum here is attained at a half-integral point, so
-those solvers enumerate weight vectors over {0, 1/2, 1} exactly (stored
-doubled as int8 numpy tables) instead of running a floating-point LP, under
-a vertex cap (covers) or an edge cap (matchings and edge covers). All
-reported values and witnesses are exact rationals.
+Matchings come from the bipartite double cover: the fractional cover
+number, the bad edges and every matching and edge-cover witness are read
+off maximum matchings of B(g), found by an augmenting-path search in
+polynomial time. Only vertex covers use tables: every minimum cover is
+attained at a half-integral point, so the cover solvers enumerate weight
+vectors over {0, 1/2, 1} exactly (stored doubled as int8 numpy tables)
+under a vertex cap. All reported values and witnesses are exact rationals.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ import numpy as np
 from .errors import CapExceededError, PreconditionError
 from .graphs import Edge, Graph
 
-DEFAULT_COVER_CAP = 12     # vertices; 3^12 candidate covers
-DEFAULT_MATCHING_CAP = 13  # edges; 3^13 candidate edge weightings
+DEFAULT_COVER_CAP = 12  # vertices; 3^12 candidate covers
 
 HALF = Fraction(1, 2)
 
@@ -91,28 +89,21 @@ class EdgeWeightVector:
                 "total": str(self.total)}
 
 
-def _edge_vector(g: Graph, row: np.ndarray, role: str) -> EdgeWeightVector:
-    es = g.sorted_edges()
-    weights = {e: _doubled_to_fraction(row[i]) for i, e in enumerate(es)}
-    total = sum(weights.values(), Fraction(0))
-    vec = EdgeWeightVector(role, weights, total)
-    vec.validate()
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # The bipartite double cover
 # ---------------------------------------------------------------------------
 
-def _double_cover_matching(g: Graph, skip: Optional[Edge] = None) -> int:
-    """Size of a maximum matching of the bipartite double cover B(g).
+def _double_cover_matching(g: Graph, skip: Optional[Edge] = None) -> dict[int, int]:
+    """A maximum matching of the bipartite double cover B(g).
 
     B(g) joins left u to right v, and left v to right u, for each edge uv;
     ``skip=(u, v)`` drops the single arc from left u to right v. Kuhn's
-    augmenting-path search from every left vertex.
+    augmenting-path search from every left vertex, over the edges in sorted
+    order so the matching depends on the graph alone. Returns the matching
+    as a map from each matched right vertex to its left partner.
     """
     adj: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         if (u, v) != skip:
             adj[u].append(v)
         if (v, u) != skip:
@@ -128,7 +119,18 @@ def _double_cover_matching(g: Graph, skip: Optional[Edge] = None) -> int:
                     return True
         return False
 
-    return sum(augment(u, set()) for u in adj)
+    for u in adj:
+        augment(u, set())
+    return mate
+
+
+def _halved(g: Graph, mate: dict[int, int]) -> EdgeWeightVector:
+    """The fractional matching of g that puts on each edge half the number
+    of its two arcs in the matching ``mate`` of B(g)."""
+    weights = {e: Fraction(0) for e in g.sorted_edges()}
+    for v, u in mate.items():
+        weights[(u, v) if u < v else (v, u)] += HALF
+    return EdgeWeightVector("matching", weights, Fraction(len(mate), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def cover_number(g: Graph) -> Fraction:
     so its matching polytope is integral and its optimum is nu(B(g))
     (Nemhauser and Trotter, Math. Programming 1975).
     """
-    return Fraction(_double_cover_matching(g), 2)
+    return Fraction(len(_double_cover_matching(g)), 2)
 
 
 def minimum_covers(g: Graph, cap: int = DEFAULT_COVER_CAP) -> list[HalfIntCover]:
@@ -194,59 +196,19 @@ def valid_subsets(g: Graph, cap: int = DEFAULT_COVER_CAP) -> frozenset[frozenset
 # Matchings and edge covers
 # ---------------------------------------------------------------------------
 
-def _matching_tableau(g: Graph, cap: int):
-    """Shared enumeration state: (sorted edges, table, feasibility, totals)."""
-    e = g.n_edges
-    if e > cap:
-        raise CapExceededError(f"{e} edges exceeds matching cap {cap}")
-    es = g.sorted_edges()
-    table = _ternary_table(e) if e else np.zeros((1, 0), dtype=np.int8)
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    incidence = np.zeros((e, g.n_vertices), dtype=np.int16)
-    for i, (u, w) in enumerate(es):
-        incidence[i, index[u]] = 1
-        incidence[i, index[w]] = 1
-    sums = table @ incidence  # doubled per-vertex sums
-    totals = table.sum(axis=1, dtype=np.int16)
-    return es, table, sums, totals
+def max_frac_matching(g: Graph) -> tuple[Fraction, EdgeWeightVector]:
+    """Exact maximum fractional matching value with a half-integral witness,
+    one maximum matching of B(g) halved over the two arcs of each edge."""
+    matching = _halved(g, _double_cover_matching(g))
+    matching.validate()
+    return matching.total, matching
 
 
-def max_frac_matching(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> tuple[Fraction, EdgeWeightVector]:
-    """Exact maximum fractional matching value with a half-integral witness."""
-    es, table, sums, totals = _matching_tableau(g, cap)
-    feasible = (sums <= 2).all(axis=1)
-    best = int(totals[feasible].max()) if g.n_edges else 0
-    row = table[feasible & (totals == best)][0] if g.n_edges else np.zeros(0, dtype=np.int8)
-    return _doubled_to_fraction(best), _edge_vector(g, row, "matching")
-
-
-def enumerate_max_matchings(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> list[EdgeWeightVector]:
-    """All half-integral maximum fractional matchings, lexicographic order."""
-    es, table, sums, totals = _matching_tableau(g, cap)
-    feasible = (sums <= 2).all(axis=1)
-    best = int(totals[feasible].max()) if g.n_edges else 0
-    rows = table[feasible & (totals == best)] if g.n_edges else np.zeros((1, 0), dtype=np.int8)
-    return [_edge_vector(g, r, "matching") for r in rows]
-
-
-def min_frac_edge_cover(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> tuple[Fraction, EdgeWeightVector]:
-    """Exact minimum fractional edge cover, computed by direct enumeration.
-
-    Deliberately independent of the v - c identity so the two sides can be
-    cross-checked; raises when the graph is empty but has declared vertices
-    (cannot happen here: graphs carry no isolated vertices) or has no edges
-    while vertices remain.
-    """
-    if g.is_empty:
-        if g.n_vertices:
-            raise PreconditionError("isolated vertices cannot be edge-covered")
-        zero = Fraction(0)
-        return zero, EdgeWeightVector("edge-cover", {}, zero)
-    es, table, sums, totals = _matching_tableau(g, cap)
-    feasible = (sums >= 2).all(axis=1)
-    best = int(totals[feasible].min())
-    row = table[feasible & (totals == best)][0]
-    return _doubled_to_fraction(best), _edge_vector(g, row, "edge-cover")
+def min_frac_edge_cover(g: Graph) -> tuple[Fraction, EdgeWeightVector]:
+    """Exact minimum fractional edge cover: the maximum matching of
+    ``max_frac_matching`` grown by ``matching_to_cover``."""
+    cover = matching_to_cover(g, max_frac_matching(g)[1])
+    return cover.total, cover
 
 
 def bad_edges(g: Graph) -> frozenset[Edge]:
@@ -259,8 +221,8 @@ def bad_edges(g: Graph) -> frozenset[Edge]:
     halving such a matching gives x_uv <= 1/2. Swapping the two sides of
     B(g) shows the other arc gives the same answer.
     """
-    best = _double_cover_matching(g)
-    return frozenset(e for e in g.edges if _double_cover_matching(g, skip=e) < best)
+    best = len(_double_cover_matching(g))
+    return frozenset(e for e in g.edges if len(_double_cover_matching(g, skip=e)) < best)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +293,21 @@ def cover_to_matching(g: Graph, cover: EdgeWeightVector) -> EdgeWeightVector:
     return matching
 
 
-def strict_weight_pair(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> tuple[EdgeWeightVector, EdgeWeightVector]:
+def strict_weight_pair(g: Graph) -> tuple[EdgeWeightVector, EdgeWeightVector]:
     """Matching/cover pair with w_e <= w'_e < 1 on every edge.
 
     Exists whenever min degree >= 2 and no edge is bad: average, over edges
-    e0, one maximum matching with w_{e0} <= 1/2 each, then grow the average
-    into a cover. The degree condition keeps the raised weights below 1.
+    e0, a maximum matching of B(g) without the arc from left to right along
+    e0 (still maximum, as e0 is not bad), halved so it puts at most 1/2 on
+    e0; then grow the average into a cover. The degree condition keeps the
+    raised weights below 1.
     """
     deg = g.degrees()
     if g.is_empty or min(deg.values()) < 2:
         raise PreconditionError("strict pair needs minimum degree >= 2")
     if bad_edges(g):
         raise PreconditionError("graph has a bad edge; no strict pair exists")
-    maxima = enumerate_max_matchings(g, cap)
-    chosen = []
-    for e0 in g.sorted_edges():
-        chosen.append(next(m for m in maxima if m.weights[e0] <= HALF))
+    chosen = [_halved(g, _double_cover_matching(g, skip=e0)) for e0 in g.sorted_edges()]
     k = len(chosen)
     avg = {e: sum(m.weights[e] for m in chosen) / k for e in g.edges}
     total = sum(avg.values(), Fraction(0))
@@ -358,7 +319,7 @@ def strict_weight_pair(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> tuple[EdgeW
     return matching, cover
 
 
-def weight_pair(g: Graph, cap: int = DEFAULT_MATCHING_CAP) -> tuple[EdgeWeightVector, EdgeWeightVector]:
+def weight_pair(g: Graph) -> tuple[EdgeWeightVector, EdgeWeightVector]:
     """Any admissible (maximum matching, dominating minimum cover) pair."""
-    _, matching = max_frac_matching(g, cap)
+    _, matching = max_frac_matching(g)
     return matching, matching_to_cover(g, matching)

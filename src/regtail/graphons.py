@@ -98,33 +98,33 @@ def ip_total(w: BlockGraphon, p: float) -> float:
 # Homomorphism densities
 # ---------------------------------------------------------------------------
 
-def _einsum_hom(k_graph: Graph, sizes: np.ndarray, values: np.ndarray) -> float:
-    """Contract the block tensor network: one index per pattern vertex."""
+def _contract(k_graph: Graph, edge_ops: Sequence[np.ndarray],
+              vertex_ops: Sequence[np.ndarray] = ()) -> float:
+    """Contract the tensor network of K to a scalar: one index per pattern
+    vertex, one matrix per edge in ``sorted_edges()`` order, and optionally
+    one vector per vertex in ``vertices`` order. The empty pattern gives 1."""
     if k_graph.is_empty:
         return 1.0
     letters = {v: chr(ord("a") + i) for i, v in enumerate(k_graph.vertices)}
     if len(letters) > 26:
         raise CapExceededError("pattern too large for block contraction")
-    subs, ops = [], []
-    for u, v in k_graph.sorted_edges():
-        subs.append(letters[u] + letters[v])
-        ops.append(values)
-    for v in k_graph.vertices:
-        subs.append(letters[v])
-        ops.append(sizes)
-    return float(np.einsum(",".join(subs) + "->", *ops, optimize=True))
+    subs = [letters[u] + letters[v] for u, v in k_graph.sorted_edges()]
+    if vertex_ops:
+        subs += [letters[v] for v in k_graph.vertices]
+    return float(np.einsum(",".join(subs) + "->", *edge_ops, *vertex_ops, optimize=True))
 
 
 def hom_density(k_graph: Graph, w: BlockGraphon, cap: int = DEFAULT_BLOCK_TERM_CAP) -> float:
     """Hom(K, W): integral over vertex placements of the edge-value product."""
     if w.k ** max(k_graph.n_vertices, 1) > cap:
         raise CapExceededError("block assignment count exceeds cap")
-    return _einsum_hom(k_graph, w.sizes, w.values)
+    return _contract(k_graph, [w.values] * k_graph.n_edges, [w.sizes] * k_graph.n_vertices)
 
 
 def hom_kernel(k_graph: Graph, sizes: np.ndarray, kernel: np.ndarray) -> float:
     """Hom(K, U) for an arbitrary symmetric block kernel (values may leave [0,1])."""
-    return _einsum_hom(k_graph, np.asarray(sizes, float), np.asarray(kernel, float))
+    return _contract(k_graph, [np.asarray(kernel, float)] * k_graph.n_edges,
+                     [np.asarray(sizes, float)] * k_graph.n_vertices)
 
 
 def hom_block(k_graph: Graph, w: BlockGraphon, assignment: dict[int, int]) -> float:

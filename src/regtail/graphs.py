@@ -258,10 +258,6 @@ def cycle_union_core(g: Graph) -> Optional[list[int]]:
     return sorted(lengths)
 
 
-def is_cycle_union_core(g: Graph) -> bool:
-    return cycle_union_core(g) is not None
-
-
 def edge_subgraphs(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> Iterator[Graph]:
     """All 2^e edge-subset subgraphs, the empty graph included.
 

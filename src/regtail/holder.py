@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .fractional import EdgeWeightVector, cover_number, weight_pair
+from .graphons import _contract
 from .graphs import Edge, Graph
 
 MAX_VERTICES = 7
@@ -97,14 +98,7 @@ def lhs_integral(inst: HolderInstance) -> float:
     """Riemann sum of prod_e f_e over the product of the vertex boxes."""
     inst.validate()
     g = inst.graph
-    if g.is_empty:
-        return 1.0
-    letters = {v: chr(ord("a") + i) for i, v in enumerate(g.vertices)}
-    subs, ops = [], []
-    for (u, v) in g.sorted_edges():
-        subs.append(letters[u] + letters[v])
-        ops.append(inst.kernels[(u, v)])
-    total = float(np.einsum(",".join(subs) + "->", *ops, optimize=True))
+    total = _contract(g, [inst.kernels[e] for e in g.sorted_edges()])
     for v in g.vertices:
         total *= inst.cell(v)
     return total

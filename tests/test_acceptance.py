@@ -30,6 +30,7 @@ from regtail.sim import (cycle_hom_oracle, hom_count, sample_gnp,
                          sample_pstar, sample_regular, PStarSpec,
                          planted_comparison)
 
+from matching_oracle import max_matching_value, min_edge_cover_value
 from planted_oracle import exact_planted_ratios
 from test_exponents import k0_foc_oracle, rho_grid_oracle
 
@@ -80,9 +81,10 @@ def test_criterion_2_duality_sweep():
             count += 1
             c, _ = frac_vertex_cover_number(sub)
             m, _ = max_frac_matching(sub)
-            assert m == c, f"duality gap on {sorted(sub.edges)}"
+            assert m == c == max_matching_value(sub), f"duality gap on {sorted(sub.edges)}"
             ec, _ = min_frac_edge_cover(sub)
-            assert ec == sub.n_vertices - c, f"edge-cover gap on {sorted(sub.edges)}"
+            assert ec == sub.n_vertices - c == min_edge_cover_value(sub), \
+                f"edge-cover gap on {sorted(sub.edges)}"
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
     report(2, ok, f"{count} edge-subgraphs swept exactly, {elapsed:.1f}s (< 60s)")

@@ -200,6 +200,16 @@ def test_holder_cli(capsys):
     assert blob["holder"]["violations"] == 0
 
 
+def test_holder_k6(capsys):
+    # 15 edges: beyond the old 13-edge matching cap, which made this exit 3.
+    code, out, _ = run_cli(capsys, "holder", "--family", "complete:6",
+                           "--instances", "200", "--seed", "7")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["holder"]["instances"] == 200
+    assert blob["holder"]["violations"] == 0
+
+
 def test_simulate_cli_with_dump(capsys, tmp_path):
     dump = tmp_path / "sample.el"
     code, out, _ = run_cli(capsys, "simulate", "--family", "cycle:3", "--n", "12",

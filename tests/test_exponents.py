@@ -10,12 +10,12 @@ from regtail.exponents import (HalfExpPolynomial, classify_and_rate,
                                contributing_subgraphs, cycle_constant, gamma,
                                k0_variational_min, p_polynomial, rho,
                                subgraph_census)
-from regtail.fractional import (cover_number, enumerate_max_matchings,
-                                minimum_covers, valid_subsets)
+from regtail.fractional import cover_number, minimum_covers, valid_subsets
 from regtail.graphs import (Graph, butterfly, complete_bipartite,
                             complete_graph, cycle_graph, cycle_union, k0_graph,
                             two_core)
 from conftest import small_corpus
+from matching_oracle import enumerate_max_matchings
 
 
 def rho_grid_oracle(poly, delta, rounds=9, res=600):

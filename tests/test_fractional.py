@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regtail.errors import CapExceededError, PreconditionError
-from regtail.fractional import (EdgeWeightVector, _matching_tableau, bad_edges,
-                                cover_number, cover_to_matching,
-                                enumerate_max_matchings, frac_vertex_cover_number,
+from regtail.fractional import (EdgeWeightVector, bad_edges, cover_number,
+                                cover_to_matching, frac_vertex_cover_number,
                                 matching_to_cover, max_frac_matching,
                                 min_frac_edge_cover, strict_weight_pair,
                                 valid_subsets, weight_pair)
 from regtail.graphs import (Graph, butterfly, complete_bipartite, complete_graph,
                             cycle_graph, edge_subgraphs, k0_graph)
 from conftest import small_corpus
+from matching_oracle import (enumerate_max_matchings, matching_tableau,
+                             max_matching_value, min_edge_cover_value)
 
 H = Fraction(1, 2)
 
@@ -23,7 +24,7 @@ def bad_edges_oracle(g):
     edge is bad iff capping its weight at 1/2 lowers the maximum."""
     if g.is_empty:
         return frozenset()
-    es, table, sums, totals = _matching_tableau(g, g.n_edges)
+    es, table, sums, totals = matching_tableau(g)
     feasible = (sums <= 2).all(axis=1)
     best = int(totals[feasible].max())
     return frozenset(e for j, e in enumerate(es)
@@ -33,6 +34,18 @@ def bad_edges_oracle(g):
 def assert_matcher_agrees_with_tables(g):
     assert cover_number(g) == frac_vertex_cover_number(g)[0], sorted(g.edges)
     assert bad_edges(g) == bad_edges_oracle(g), sorted(g.edges)
+    value, matching = max_frac_matching(g)
+    matching.validate()
+    assert all(2 * w in (0, 1, 2) for w in matching.weights.values()), sorted(g.edges)
+    assert value == matching.total == max_matching_value(g), sorted(g.edges)
+    value, cover = min_frac_edge_cover(g)
+    cover.validate()
+    assert value == cover.total == min_edge_cover_value(g), sorted(g.edges)
+    deg = g.degrees()
+    if not g.is_empty and min(deg.values()) >= 2 and not bad_edges(g):
+        matching, cover = strict_weight_pair(g)
+        assert all(matching.weights[e] <= cover.weights[e] < 1 for e in g.edges), \
+            sorted(g.edges)
 
 
 def test_cover_numbers_pinned(k23, k24, k0, bfly):
@@ -70,8 +83,8 @@ def test_duality_on_corpus():
 def test_edge_cover_values(k23, triangle, bfly):
     assert min_frac_edge_cover(k23)[0] == 3
     assert min_frac_edge_cover(triangle)[0] == Fraction(3, 2)
-    # 5 - 5/2, via enumeration independent of the identity
-    assert min_frac_edge_cover(bfly)[0] == Fraction(5, 2)
+    # 5 - 5/2, and the oracle's enumeration is independent of the identity
+    assert min_frac_edge_cover(bfly)[0] == Fraction(5, 2) == min_edge_cover_value(bfly)
 
 
 def test_complementarity_on_corpus():
@@ -79,6 +92,7 @@ def test_complementarity_on_corpus():
         cover_value, _ = min_frac_edge_cover(g)
         matching_value, _ = max_frac_matching(g)
         assert cover_value + matching_value == g.n_vertices
+        assert cover_value == min_edge_cover_value(g)
 
 
 @settings(max_examples=40, deadline=None)
