@@ -9,6 +9,12 @@ path produced the sample and how many swap steps it took (``swap_steps``,
 0 on the exact path). Tail probabilities at asymptotic scale are
 unreachable here by design; the module targets moderate sizes and
 planted-mean comparisons.
+
+The independent-edge samplers (``sample_gnp`` and the tilted model of
+``sample_pstar``) draw only the edges: every block pair has one edge
+probability q, and the positions of its edges among its pairs are
+cumulative Geometric(q) gaps, so a sample costs time proportional to its
+number of edges rather than to n^2 uniforms.
 """
 
 from __future__ import annotations
@@ -51,10 +57,9 @@ class SimGraph:
 
     @classmethod
     def from_bool_matrix(cls, adj: np.ndarray, provenance=None) -> "SimGraph":
-        # astype copies even a bool input: keeping the sampler's own array
-        # alive instead raised the peak RSS of a `plant` job (n=2000) by
-        # about 11 MB under glibc malloc, through where the heap places it.
-        dense = adj.astype(bool)
+        """The graph of a symmetric 0/1 matrix. A bool ``adj`` is kept as
+        the graph's dense adjacency, not copied, so do not modify it later."""
+        dense = np.asarray(adj, dtype=bool)
         packed = np.packbits(dense, axis=1, bitorder="little")
         rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
         return cls(dense.shape[0], rows, provenance or {}, dense)
@@ -100,8 +105,10 @@ class SimGraph:
 # Sampling d-regular graphs
 # ---------------------------------------------------------------------------
 
-def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> Optional[list[tuple[int, int]]]:
-    stubs = np.repeat(np.arange(n), d)
+def _pairing_attempt(stubs: np.ndarray, n: int,
+                     rng: np.random.Generator) -> Optional[list[tuple[int, int]]]:
+    """One configuration-model pairing of ``stubs`` (vertex v repeated d
+    times), or None when it has a loop or a multiple edge."""
     perm = rng.permutation(stubs)
     a, b = perm[0::2], perm[1::2]
     if np.any(a == b):
@@ -224,8 +231,9 @@ def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
     edges = None
     sampler = "pairing-rejection"
     attempts = 0
+    stubs = np.repeat(np.arange(n), d)
     for attempts in range(1, budget + 1):
-        edges = _pairing_attempt(n, d, rng)
+        edges = _pairing_attempt(stubs, n, rng)
         if edges is not None:
             break
     if edges is None:
@@ -546,41 +554,73 @@ class PStarSpec:
                     a[i, j] = int(math.floor(w.values[i, j] * sizes_n[i] * sizes_n[j] + 0.5))
         return cls(n, p, boundaries, w.values.copy(), np.asarray(mask, bool), a)
 
-    def class_of(self, v: int) -> int:
-        for i in range(len(self.boundaries) - 1):
-            if self.boundaries[i] <= v < self.boundaries[i + 1]:
-                return i
-        raise ValueError(v)
 
-    def probability_matrix(self) -> np.ndarray:
-        prob = np.full((self.n, self.n), self.p, dtype=np.float64)
-        b = self.boundaries
-        k = len(b) - 1
-        for i in range(k):
-            for j in range(k):
-                if self.mask[i, j]:
-                    prob[b[i]:b[i + 1], b[j]:b[j + 1]] = self.values[i, j]
-        np.fill_diagonal(prob, 0.0)
-        return prob
+def _bernoulli_positions(rng: np.random.Generator, q: float, total: int) -> np.ndarray:
+    """Sorted positions of the successes among ``total`` i.i.d. Bernoulli(q)
+    trials, drawn as cumulative Geometric(q) gaps (the skip method of
+    Batagelj and Brandes, 2005): the gaps between successes are i.i.d.
+    Geometric(q), so the law is exact and the cost is proportional to the
+    number of successes, not to ``total``.
+    """
+    if q <= 0:
+        return np.empty(0, dtype=np.int64)
+    if q >= 1:
+        return np.arange(total, dtype=np.int64)
+    mean = q * total
+    size = int(mean + 6 * math.sqrt(mean)) + 16
+    # A gap above total leaves the range either way; capping it there keeps
+    # the cumulative sum far from int64 overflow at tiny q.
+    pos = np.cumsum(np.minimum(rng.geometric(q, size=size), total + 1)) - 1
+    parts = [pos]
+    while pos[-1] < total - 1:
+        pos = pos[-1] + np.cumsum(np.minimum(rng.geometric(q, size=size), total + 1))
+        parts.append(pos)
+    pos = np.concatenate(parts)
+    return pos[:np.searchsorted(pos, total)]
 
 
-def _sample_bool(prob, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric n x n 0/1 draw with pair probabilities ``prob``, an n x n
-    array or one float for every pair."""
-    upper = np.triu(rng.random((n, n)) < prob, 1)
-    return upper | upper.T
+def _sample_blocks(n: int, boundaries: list[int], probs: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Symmetric n x n bool adjacency with every pair of the block pair
+    (i, j) present independently with probability ``probs[i, j]``.
+
+    Each block pair i <= j draws its edge positions over its rows x cols
+    rectangle; a diagonal block keeps only the pairs above the diagonal,
+    which are still i.i.d. Bernoulli.
+    """
+    adj = np.zeros((n, n), dtype=bool)
+    b = boundaries
+    k = len(b) - 1
+    for i in range(k):
+        for j in range(i, k):
+            rows, cols = b[i + 1] - b[i], b[j + 1] - b[j]
+            r, c = np.divmod(_bernoulli_positions(rng, probs[i, j], rows * cols), cols)
+            if i == j:
+                keep = r < c
+                r, c = r[keep], c[keep]
+            r += b[i]
+            c += b[j]
+            adj[r, c] = True
+            adj[c, r] = True
+    return adj
 
 
 def sample_pstar(spec: PStarSpec, seed, conditioned: bool = False,
                  budget: int = 10000) -> SimGraph:
     """Sample the tilted model; optionally reject until every masked block
-    hits its rounded pair count exactly."""
+    hits its rounded pair count exactly.
+
+    W* is constant on each block pair (``spec.values`` on masked pairs,
+    ``spec.p`` elsewhere), so each block pair draws only its edges, as
+    cumulative geometric gaps between them: the cost of an attempt is
+    proportional to the number of edges, not to n^2.
+    """
     rng = np.random.default_rng(seed)
-    prob = spec.probability_matrix()
+    probs = np.where(spec.mask, spec.values, spec.p)
     b = spec.boundaries
     k = len(b) - 1
     for attempt in range(1, budget + 1):
-        adj = _sample_bool(prob, spec.n, rng)
+        adj = _sample_blocks(spec.n, b, probs, rng)
         if not conditioned:
             break
         ok = True
@@ -604,8 +644,10 @@ def sample_pstar(spec: PStarSpec, seed, conditioned: bool = False,
 
 
 def sample_gnp(n: int, p: float, seed) -> SimGraph:
+    """G(n, p), deterministic in (n, p, seed): the one-block case of the
+    tilted sampler, whose cost is proportional to the number of edges."""
     rng = np.random.default_rng(seed)
-    adj = _sample_bool(p, n, rng)
+    adj = _sample_blocks(n, [0, n], np.array([[p]]), rng)
     return SimGraph.from_bool_matrix(adj, {"sampler": "gnp", "seed": seed})
 
 

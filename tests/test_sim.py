@@ -314,12 +314,73 @@ def test_hom_counts_dense_exact_beyond_float():
         hom_counts_dense(k0_graph(), np.broadcast_to(np.float32(0), (1 << 24, 1 << 24)))
 
 
-def test_sample_gnp_draws_unchanged():
-    # Comparing the uniforms with the scalar p gives the samples that the
-    # full n x n probability matrix gave.
-    for n, p, seed in ((1, 0.5, 0), (17, 0.3, 1), (40, 0.05, [2, 1, 0])):
-        upper = np.triu(np.random.default_rng(seed).random((n, n)) < np.full((n, n), p), 1)
-        assert np.array_equal(sample_gnp(n, p, seed).adjacency(bool), upper | upper.T)
+def assert_four_vertex_law(sample, pair_prob, trials=30000):
+    """Chi-square of the 64 labelled graphs on 4 vertices drawn by
+    ``sample(t)`` against independent pairs with probabilities
+    ``pair_prob[u, v]`` (63 degrees of freedom, upper 1e-6 quantile 131.4);
+    every sample must also be symmetric and loop-free."""
+    pairs = list(combinations(range(4), 2))
+    weights = np.zeros((4, 4), dtype=int)
+    for i, (u, v) in enumerate(pairs):
+        weights[u, v] = 1 << i
+    counts = np.zeros(64)
+    for t in range(trials):
+        a = sample(t).adjacency(bool)
+        assert np.array_equal(a, a.T) and not a.diagonal().any()
+        counts[np.sum(weights[a])] += 1
+    q = np.array([pair_prob[u, v] for u, v in pairs])
+    bits = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    expected = trials * np.prod(np.where(bits, q, 1 - q), axis=1)
+    assert np.sum((counts - expected) ** 2 / expected) <= 131.4
+
+
+def test_sample_gnp_law_on_four_vertices():
+    assert_four_vertex_law(lambda t: sample_gnp(4, 0.3, [41, t]), np.full((4, 4), 0.3))
+
+
+def test_sample_pstar_law_on_four_vertices():
+    # The masked block pair takes its graphon value, every other pair p
+    # (not the graphon's 0.9 and 0.05 there).
+    w = BlockGraphon.create([0.5, 0.5], [[0.9, 0.6], [0.6, 0.05]])
+    spec = PStarSpec.from_graphon(w, 4, 0.3, mask=np.array([[False, True], [True, False]]))
+    cls = np.searchsorted(spec.boundaries, np.arange(4), side="right") - 1
+    pair_prob = np.where(spec.mask, spec.values, spec.p)[cls[:, None], cls[None, :]]
+    assert sorted(set(pair_prob.ravel())) == [0.3, 0.6]
+    assert_four_vertex_law(lambda t: sample_pstar(spec, [42, t]), pair_prob)
+
+
+def test_sample_blocks_tiny_and_empty():
+    from regtail.sim import _sample_blocks
+    g = sample_gnp(1, 0.5, 0)
+    assert g.n == 1 and g.n_edges == 0
+    assert sample_gnp(0, 0.5, 0).n == 0
+    # An empty class contributes no pairs; the others are all drawn.
+    rng = np.random.default_rng(0)
+    adj = _sample_blocks(4, [0, 2, 2, 4], np.ones((3, 3)), rng)
+    assert np.array_equal(adj, ~np.eye(4, dtype=bool))
+    assert not _sample_blocks(4, [0, 2, 2, 4], np.zeros((3, 3)), rng).any()
+
+
+class OnesGenerator:
+    """Stands in for a Generator whose every geometric gap is 1."""
+
+    def geometric(self, q, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_bernoulli_positions_edges_and_refill():
+    from regtail.sim import _bernoulli_positions
+    rng = np.random.default_rng(5)
+    assert len(_bernoulli_positions(rng, 0.0, 50)) == 0
+    assert np.array_equal(_bernoulli_positions(rng, 1.0, 50), np.arange(50))
+    # Mean 10 sizes the first batch at 44 gaps, so 1000 successes take
+    # several refills.
+    assert np.array_equal(_bernoulli_positions(OnesGenerator(), 0.01, 1000), np.arange(1000))
+    # At q = 1e-300 every gap is near 2^63, far beyond the trials.
+    assert len(_bernoulli_positions(rng, 1e-300, 10)) == 0
+    for q, total in ((0.5, 0), (0.5, 1), (0.3, 7), (0.05, 40000), (0.97, 5000)):
+        pos = _bernoulli_positions(rng, q, total)
+        assert np.all(np.diff(pos) > 0) and np.all((0 <= pos) & (pos < total)), (q, total)
 
 
 def test_pstar_er_fallback_mean():
