@@ -10,11 +10,9 @@ This script computes all of them for the showcase patterns.
 
 from fractions import Fraction
 
-from regtail import (bad_edges, butterfly, complete_bipartite,
-                     contributing_subgraphs, delta_star,
-                     frac_vertex_cover_number, gamma, k0_graph,
-                     max_frac_matching, min_frac_edge_cover, p_polynomial,
-                     rho, valid_subsets)
+from regtail import (butterfly, complete_bipartite, delta_star,
+                     frac_vertex_cover_number, k0_graph, max_frac_matching,
+                     min_frac_edge_cover, rho, subgraph_census)
 from regtail.graphs import describe_subgraph
 
 
@@ -26,18 +24,19 @@ def show(g):
     print(f"   cover number c = {c}; matching = {m} (duality), "
           f"edge cover = {ec} (= v - c = {g.n_vertices - c})")
     print(f"   Delta* = {delta_star(g)}")
-    gr = gamma(g)
+    census = subgraph_census(g)
+    gr = census.gamma
     print(f"   gamma = {gr.value}, witness {describe_subgraph(gr.witness, g)}")
-    subs = contributing_subgraphs(g)
+    subs = census.contributing
     print(f"   contributing subgraphs: {[describe_subgraph(h, g) for h in subs]}")
-    for h in subs:
+    for h, bad, valid in zip(subs, census.bad_edges(), census.valid):
         if h.is_empty:
             continue
-        bad = sorted(g.edge_label(e) for e in bad_edges(h))
-        sets = sorted(sorted(a) for a in valid_subsets(h))
+        bad = sorted(g.edge_label(e) for e in bad)
+        sets = sorted(sorted(a) for a in valid)
         print(f"     {describe_subgraph(h, g)}: bad edges {bad or 'none'}, "
               f"valid subsets {sets}")
-    poly = p_polynomial(g)
+    poly = census.polynomial
     print(f"   P(z, w) = {poly.render()}")
     for delta in (Fraction(1, 4), 1, 4):
         print(f"   rho(delta={delta}) = {rho(poly, float(delta)):.6f}")

@@ -12,9 +12,9 @@ if _os.environ.get("REGTAIL_THREADS"):
         _os.environ.setdefault(_var, _os.environ["REGTAIL_THREADS"])
 
 from .graphs import (Graph, butterfly, complete_bipartite, complete_graph,
-                     cycle_graph, cycle_union, delta_star, edge_subgraphs,
-                     is_forest, cycle_union_core, k0_graph, make_named,
-                     parse_edge_list, two_core)
+                     cycle_graph, cycle_union, delta_star, is_forest,
+                     cycle_union_core, k0_graph, make_named, parse_edge_list,
+                     two_core)
 from .fractional import (EdgeWeightVector, HalfIntCover, bad_edges,
                          cover_to_matching, frac_vertex_cover_number,
                          matching_to_cover, max_frac_matching,

@@ -24,10 +24,10 @@ from . import __version__
 from .errors import (BudgetExhaustedError, CapExceededError,
                      EdgeListParseError, InfeasibleConstructionError,
                      PreconditionError)
-from .exponents import classify_and_rate, rho, subgraph_census
+from .exponents import DEFAULT_SUBSET_CAP, classify_and_rate, rho, subgraph_census
 from .fractional import DEFAULT_COVER_CAP, frac_vertex_cover_number
-from .graphs import (DEFAULT_SUBSET_CAP, Graph, delta_star, describe_subgraph, is_forest,
-                     make_named, parse_edge_list)
+from .graphs import (Graph, delta_star, describe_subgraph, is_forest, make_named,
+                     parse_edge_list)
 from .graphons import (ConditionThresholds, build_w0, build_w1, check_conditions,
                        hom_density, ip_total, regularity_residual)
 from .holder import verify_batch
@@ -263,9 +263,10 @@ def _add_graph_source(sub) -> None:
 def _add_common(sub) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--caps", help="enumeration caps: edges= bounds the pattern's edges "
-                                    "(2^e subsets), cover= the vertices of each enumerated "
-                                    "cover table (3^v rows), e.g. edges=16,cover=12")
+    sub.add_argument("--caps", help="enumeration caps: edges= bounds the edges of the "
+                                    "pattern's 2-core, or of the pattern if it is a forest "
+                                    "(2^e subsets), cover= the vertices of that graph and of "
+                                    "the cover witness (3^v rows), e.g. edges=21,cover=12")
 
 
 def _add_construction(sub) -> None:

@@ -4,7 +4,8 @@ Computes the subgraph exponent gamma, the contributing subgraphs, the
 two-variable counting polynomial P(z, w), its constrained minimum rho, the
 cycle-union constant, the special K0 variational rate, and dispatches the
 applicable rate formula at a given (delta, n, p). gamma, the contributing
-subgraphs and P come from one scan of the edge subsets, a SubgraphCensus.
+subgraphs and P come from a SubgraphCensus: array arithmetic over the edge
+subsets of the 2-core and one half-integral cover table of it.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .errors import CapExceededError, PreconditionError
-from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_number, minimum_covers
-from .graphs import (DEFAULT_SUBSET_CAP, Edge, Graph, cycle_union_core,
-                     edge_subgraphs, two_core)
+from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_table
+from .graphs import Edge, Graph, cycle_union_core, two_core
 from .graphons import ip_scalar
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -99,41 +101,10 @@ class HalfExpPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# The subgraph census: 2-cores, gamma, contributing subgraphs and P, once
+# The subgraph census: gamma, contributing subgraphs and P, from one table
 # ---------------------------------------------------------------------------
 
-def _distinct_cores(g: Graph, cap: int) -> list[Graph]:
-    """Distinct 2-cores over all edge subsets, the empty graph included.
-
-    Removing a leaf keeps e - v fixed and never raises the cover number, so
-    the ratio (e - v)/c of any subgraph is matched or beaten by its 2-core;
-    maximizing over cores therefore loses nothing.
-
-    Subsets are edge bitmasks visited in increasing order. When some vertex
-    meets exactly one edge x of a mask, x is a pendant edge whose removal
-    leaves the 2-core unchanged, and the smaller mask ``mask ^ x`` is already
-    done; when no vertex does, every degree is 0 or >= 2 and the mask is its
-    own 2-core.
-    """
-    if g.n_edges > cap:
-        raise CapExceededError(f"{g.n_edges} edges exceeds subset cap {cap}")
-    es = g.sorted_edges()
-    incident = {v: 0 for v in g.vertices}
-    for i, (u, v) in enumerate(es):
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
-    inc = list(incident.values())
-    core = [0] * (1 << len(es))
-    for mask in range(1, len(core)):
-        core[mask] = mask
-        for bits in inc:
-            x = mask & bits
-            if x and not x & (x - 1):
-                core[mask] = core[mask ^ x]
-                break
-    cores = [g.subgraph(e for i, e in enumerate(es) if m >> i & 1) for m in set(core)]
-    cores.sort(key=lambda h: (h.n_edges, h.sorted_edges()))
-    return cores
+DEFAULT_SUBSET_CAP = 21  # edges of the scanned graph; 2^21 subsets
 
 
 @dataclass(frozen=True)
@@ -143,29 +114,16 @@ class GammaResult:
     forest: bool
 
 
-def _max_ratio(pairs: Iterable[tuple[Graph, Fraction]]) -> tuple[Optional[Fraction], Optional[Graph]]:
-    """First maximizer of (e - v)/c over (nonempty graph, cover number) pairs."""
-    best, best_h = None, None
-    for h, c in pairs:
-        ratio = Fraction(h.n_edges - h.n_vertices) / c
-        if best is None or ratio > best:
-            best, best_h = ratio, h
-    return best, best_h
-
-
 @dataclass(frozen=True)
 class SubgraphCensus:
     """The invariants of a pattern that come from its edge subsets.
 
-    ``cores`` are the distinct 2-cores of all edge subsets, sorted by edge
-    count and then edge list (the empty graph first), and ``covers`` their
-    cover numbers. ``contributing`` are the cores attaining gamma, the empty
-    one included, and ``valid`` lists the valid subsets of each in the order
-    the minimum covers first carry them. ``polynomial`` is P(z, w).
+    ``contributing`` are the subgraphs of minimum degree >= 2 attaining
+    gamma, the empty one included, sorted by edge count and then edge list;
+    ``valid`` lists the valid subsets of each in the order the minimum
+    covers first carry them. ``polynomial`` is P(z, w).
     """
 
-    cores: list[Graph]
-    covers: list[Fraction]
     gamma: GammaResult
     contributing: list[Graph]
     valid: list[list[frozenset[int]]]
@@ -182,39 +140,70 @@ class SubgraphCensus:
 
 def subgraph_census(g: Graph, cap: int = DEFAULT_SUBSET_CAP,
                     cover_cap: int = DEFAULT_COVER_CAP) -> SubgraphCensus:
-    """Scan the 2^e edge subsets of g once and derive gamma, the contributing
-    subgraphs and P(z, w) from the distinct 2-cores.
+    """gamma, the contributing subgraphs and P(z, w) from one cover table.
 
-    ``cap`` bounds the edge count of g and ``cover_cap`` the vertex count of
-    each contributing subgraph, whose minimum covers are enumerated.
+    Every subgraph of minimum degree >= 2 lies in the 2-core, and removing
+    a leaf keeps e - v fixed and never raises the cover number, so the scan
+    runs over the edge subsets H of S = two_core(g), or of S = g when g is
+    a forest. Each half-integral cover w of S covers an edge set U_w, and
+    c(H) is the least total of a w with U_w containing H: a superset
+    minimum over the 2^e bitmasks. The minimum covers of H are the rows of
+    that total covering H, which are zero off H.
+
+    ``cap`` bounds the edges of S and ``cover_cap`` its vertices.
     """
     if g.is_empty:
         raise PreconditionError("gamma needs at least one edge")
-    cores = _distinct_cores(g, cap)
-    covers = [cover_number(h) for h in cores]
-    best, best_h = _max_ratio((h, c) for h, c in zip(cores, covers) if not h.is_empty)
-    forest = best_h is None
-    if forest:
-        # Every nonempty subgraph has e < v. Report the (negative) maximum
-        # anyway, flagged, over all subsets since the cores are gone.
-        best, best_h = _max_ratio((h, cover_number(h))
-                                  for h in edge_subgraphs(g, cap) if not h.is_empty)
-    gr = GammaResult(best, best_h, forest)
+    core = two_core(g)
+    forest = core.is_empty
+    s = g if forest else core
+    es, e, v = s.sorted_edges(), s.n_edges, s.n_vertices
+    if e > cap:
+        raise CapExceededError(f"{e} edges exceeds subset cap {cap}")
+    rows, covered, totals = cover_table(s, cover_cap)
+    row_masks = covered @ (1 << np.arange(e, dtype=np.int64))
+    c2 = np.full(1 << e, 2 * v, dtype=np.int32)  # doubled cover numbers
+    np.minimum.at(c2, row_masks, totals)
+    for i in range(e):
+        pairs = c2.reshape(-1, 2, 1 << i)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+
+    masks = np.arange(1 << e, dtype=np.int64)
+    excess = np.bitwise_count(masks).astype(np.int32)  # e(H) - v(H)
+    own_core = np.ones(1 << e, dtype=bool)  # no vertex of degree 1
+    for x in s.vertices:
+        deg = np.bitwise_count(masks & sum(1 << i for i, ends in enumerate(es) if x in ends))
+        excess -= deg > 0
+        own_core &= deg != 1
+    # A forest has no nonempty core: its (negative) maximum is taken over
+    # every nonempty subset instead, and flagged.
+    pool = masks[1:] if forest else np.flatnonzero(own_core[1:]) + 1
+    # gamma is the largest 2(e - v)/c2 over the distinct pairs, each keyed
+    # by one integer (-v <= e - v and 0 <= c2 <= 2v).
+    seen = np.bincount((excess[pool] + v) * (2 * v + 1) + c2[pool])
+    best = max(Fraction(2 * (k // (2 * v + 1) - v), k % (2 * v + 1))
+               for k in np.flatnonzero(seen).tolist())
+    attains = 2 * best.denominator * excess == best.numerator * c2
+
+    def edges_of(m: int) -> list[Edge]:
+        return [es[i] for i in range(e) if m >> i & 1]
 
     # The empty core attains e - v = c * gamma as 0 = 0: it counts by
     # convention (vacuous degree condition) and supplies P's constant term.
-    contributing, valid = [], []
+    order = sorted(np.flatnonzero(own_core & attains).tolist(),
+                   key=lambda m: (m.bit_count(), edges_of(m)))
+    witness = int(np.flatnonzero(attains[1:])[0]) + 1 if forest else order[1]
+    valid: list[list[frozenset[int]]] = []
     coeffs: dict[tuple[int, int], int] = {}
-    for h, c in zip(cores, covers):
-        if h.n_edges - h.n_vertices != gr.value * c:
-            continue
-        ones = list(dict.fromkeys(cover.ones() for cover in minimum_covers(h, cover_cap)))
-        contributing.append(h)
-        valid.append(ones)
-        for a in ones:
-            key = (len(a), int(2 * c) - 2 * len(a))
+    for m in order:
+        minimal = rows[((row_masks & m) == m) & (totals == c2[m])]
+        valid.append(list(dict.fromkeys(
+            frozenset(s.vertices[i] for i in np.flatnonzero(r == 2)) for r in minimal)))
+        for a in valid[-1]:
+            key = (len(a), int(c2[m]) - 2 * len(a))
             coeffs[key] = coeffs.get(key, 0) + 1
-    return SubgraphCensus(cores, covers, gr, contributing, valid,
+    return SubgraphCensus(GammaResult(best, s.subgraph(edges_of(witness)), forest),
+                          [s.subgraph(edges_of(m)) for m in order], valid,
                           HalfExpPolynomial(coeffs))
 
 

@@ -4,9 +4,11 @@ Matchings come from the bipartite double cover: the fractional cover
 number, the bad edges and every matching and edge-cover witness are read
 off maximum matchings of B(g), found by an augmenting-path search in
 polynomial time. Only vertex covers use tables: every minimum cover is
-attained at a half-integral point, so the cover solvers enumerate weight
-vectors over {0, 1/2, 1} exactly (stored doubled as int8 numpy tables)
-under a vertex cap. All reported values and witnesses are exact rationals.
+attained at a half-integral point, so ``cover_table`` enumerates weight
+vectors over {0, 1/2, 1} exactly (stored doubled as an int8 numpy table),
+with the edges each one covers, under a vertex cap. The minimum covers
+and the subgraph census of ``exponents`` are read off that table. All
+reported values and witnesses are exact rationals.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ def _ternary_table(m: int) -> np.ndarray:
     for j in range(m):
         out[:, j] = (idx // 3 ** (m - 1 - j)) % 3
     return out
-
-
-def _doubled_to_fraction(x: int) -> Fraction:
-    return Fraction(int(x), 2)
 
 
 @dataclass(frozen=True)
@@ -137,22 +135,21 @@ def _halved(g: Graph, mate: dict[int, int]) -> EdgeWeightVector:
 # Vertex covers
 # ---------------------------------------------------------------------------
 
-def _cover_candidates(g: Graph, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows of doubled weights for the minimum covers, doubled optimum)."""
-    v = g.n_vertices
-    if v > cap:
-        raise CapExceededError(f"{v} vertices exceeds cover cap {cap}")
-    if v == 0:
-        return np.zeros((1, 0), dtype=np.int8), np.int16(0)
-    table = _ternary_table(v)
+def cover_table(g: Graph, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every half-integral vertex weighting of g, with what it covers.
+
+    Returns (rows of doubled weights over ``g.vertices``, in lexicographic
+    order; a rows-by-edges bool array marking the sorted edges each row
+    covers; the doubled row totals).
+    """
+    if g.n_vertices > cap:
+        raise CapExceededError(f"{g.n_vertices} vertices exceeds cover cap {cap}")
+    rows = _ternary_table(g.n_vertices)
     index = {vid: i for i, vid in enumerate(g.vertices)}
-    feasible = np.ones(len(table), dtype=bool)
-    for u, w in g.edges:
-        feasible &= table[:, index[u]] + table[:, index[w]] >= 2
-    totals = table.sum(axis=1, dtype=np.int16)
-    best = int(totals[feasible].min())
-    rows = table[feasible & (totals == best)]
-    return rows, best
+    covered = np.empty((len(rows), g.n_edges), dtype=bool)
+    for j, (u, w) in enumerate(g.sorted_edges()):
+        np.greater_equal(rows[:, index[u]] + rows[:, index[w]], 2, out=covered[:, j])
+    return rows, covered, rows.sum(axis=1, dtype=np.int16)
 
 
 def frac_vertex_cover_number(g: Graph, cap: int = DEFAULT_COVER_CAP) -> tuple[Fraction, HalfIntCover]:
@@ -160,10 +157,8 @@ def frac_vertex_cover_number(g: Graph, cap: int = DEFAULT_COVER_CAP) -> tuple[Fr
 
     The witness is the lexicographically first minimum cover of the table.
     """
-    rows, best = _cover_candidates(g, cap)
-    witness = HalfIntCover({v: _doubled_to_fraction(rows[0][i]) for i, v in enumerate(g.vertices)},
-                           _doubled_to_fraction(best))
-    return _doubled_to_fraction(best), witness
+    witness = minimum_covers(g, cap)[0]
+    return witness.total, witness
 
 
 def cover_number(g: Graph) -> Fraction:
@@ -180,11 +175,14 @@ def cover_number(g: Graph) -> Fraction:
 
 
 def minimum_covers(g: Graph, cap: int = DEFAULT_COVER_CAP) -> list[HalfIntCover]:
-    """All half-integral minimum covers (the vertices of the optimal face)."""
-    rows, best = _cover_candidates(g, cap)
-    total = _doubled_to_fraction(best)
-    return [HalfIntCover({v: _doubled_to_fraction(r[i]) for i, v in enumerate(g.vertices)}, total)
-            for r in rows]
+    """All half-integral minimum covers (the vertices of the optimal face),
+    in the lexicographic order of the cover table."""
+    rows, covered, totals = cover_table(g, cap)
+    feasible = covered.all(axis=1)
+    best = totals[feasible].min()
+    return [HalfIntCover({v: Fraction(int(x), 2) for v, x in zip(g.vertices, r)},
+                         Fraction(int(best), 2))
+            for r in rows[feasible & (totals == best)]]
 
 
 def valid_subsets(g: Graph, cap: int = DEFAULT_COVER_CAP) -> frozenset[frozenset[int]]:

@@ -9,13 +9,11 @@ vertex subsets computed on a subgraph are comparable with the parent's ids.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .errors import CapExceededError, EdgeListParseError, PreconditionError
+from .errors import EdgeListParseError, PreconditionError
 
 Edge = tuple[int, int]
-
-DEFAULT_SUBSET_CAP = 16
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -256,19 +254,6 @@ def cycle_union_core(g: Graph) -> Optional[list[int]]:
             prev, cur = cur, nxt[0]
         lengths.append(size)
     return sorted(lengths)
-
-
-def edge_subgraphs(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> Iterator[Graph]:
-    """All 2^e edge-subset subgraphs, the empty graph included.
-
-    Subsets are emitted in increasing bitmask order over the sorted edge
-    list, so the stream is deterministic.
-    """
-    if g.n_edges > cap:
-        raise CapExceededError(f"{g.n_edges} edges exceeds subset cap {cap}")
-    es = g.sorted_edges()
-    for mask in range(1 << len(es)):
-        yield g.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)
 
 
 def delta_star(g: Graph) -> Fraction:

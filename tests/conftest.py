@@ -49,3 +49,11 @@ def small_corpus():
         Graph([(0, 1), (1, 2), (2, 0), (2, 3)]),  # triangle with a pendant
         Graph([(0, 1), (1, 2), (2, 3)]),          # path
     ]
+
+
+def edge_subsets_oracle(g):
+    """Every edge-subset subgraph of g, one Graph per bitmask over the
+    sorted edges, in increasing bitmask order (the empty graph first)."""
+    es = g.sorted_edges()
+    for mask in range(1 << len(es)):
+        yield g.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)

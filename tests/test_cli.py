@@ -82,7 +82,7 @@ def test_rate_honours_caps(capsys):
                 "complete-bipartite:2,3": ("rho-exact", "1/2", 1.0, 218442.402006354)}
     for family, (kind, gamma_value, constant, rate) in expected.items():
         reports = []
-        for caps in ((), ("--caps", "edges=16,cover=12")):
+        for caps in ((), ("--caps", "edges=21,cover=12")):
             code, out, _ = run_cli(capsys, "rate", "--family", family, *RATE_ARGS, *caps)
             assert code == 0
             reports.append(json.loads(out)["rate_report"])
@@ -91,6 +91,33 @@ def test_rate_honours_caps(capsys):
         assert (report["classification"], report["gamma"]) == (kind, gamma_value)
         assert report["constant"] == pytest.approx(constant, rel=1e-12)
         assert report["rate"] == pytest.approx(rate, rel=1e-12)
+
+
+def test_rate_k7(capsys):
+    # 21 edges: the census reads all 2^21 subsets from one 3^7 cover table.
+    code, out, _ = run_cli(capsys, "rate", "--family", "complete:7", *RATE_ARGS)
+    assert code == 0
+    report = json.loads(out)["rate_report"]
+    assert (report["classification"], report["gamma"]) == ("rho-exact", "4")
+
+
+def test_cover_cap_bounds_the_scanned_two_core(capsys, tmp_path):
+    # K4 plus a disjoint C9: 15 edges, and a 2-core on 13 vertices, which
+    # the cover table of the census must span.
+    path = tmp_path / "k4c9.el"
+    path.write_text("".join(f"{u} {v}\n" for u in range(4) for v in range(u + 1, 4))
+                    + "".join(f"{4 + i} {4 + (i + 1) % 9}\n" for i in range(9)))
+    code, _, err = run_cli(capsys, "rate", "--file", str(path), *RATE_ARGS)
+    assert code == 3 and "13 vertices exceeds cover cap 12" in err
+    # Pendant trees never enter the table: K4 plus a 10-edge pendant path
+    # has 14 vertices and still classifies.
+    path = tmp_path / "k4path.el"
+    path.write_text("".join(f"{u} {v}\n" for u in range(4) for v in range(u + 1, 4))
+                    + "".join(f"{3 + i} {4 + i}\n" for i in range(10)))
+    code, out, _ = run_cli(capsys, "rate", "--file", str(path), *RATE_ARGS)
+    assert code == 0
+    report = json.loads(out)["rate_report"]
+    assert (report["classification"], report["gamma"]) == ("rho-exact", "1")
 
 
 def test_matching_cap_is_gone(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtail.errors import PreconditionError
+from regtail.errors import CapExceededError, PreconditionError
 from regtail.exponents import (HalfExpPolynomial, classify_and_rate,
                                contributing_subgraphs, cycle_constant, gamma,
                                k0_variational_min, p_polynomial, rho,
@@ -14,7 +14,7 @@ from regtail.fractional import cover_number, minimum_covers, valid_subsets
 from regtail.graphs import (Graph, butterfly, complete_bipartite,
                             complete_graph, cycle_graph, cycle_union, k0_graph,
                             two_core)
-from conftest import small_corpus
+from conftest import edge_subsets_oracle, small_corpus
 from matching_oracle import enumerate_max_matchings
 
 
@@ -79,18 +79,13 @@ def rho_grid_oracle(poly, delta, rounds=9, res=600):
     return best
 
 
-def edge_subsets_oracle(g):
-    """Every edge-subset subgraph of g, one Graph per bitmask."""
-    es = g.sorted_edges()
-    for mask in range(1 << len(es)):
-        yield g.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)
-
-
 def census_oracle(g):
-    """The census the slow way: one Graph and one two_core per edge subset.
+    """The census the slow way: one Graph and one two_core per edge subset,
+    and one cover table per contributing core.
 
-    Returns (distinct cores, gamma value, gamma witness, forest flag,
-    contributing subgraphs, P's coefficients in insertion order).
+    Returns (gamma value, gamma witness, forest flag, contributing
+    subgraphs, their valid subsets in first-carried order, P's coefficients
+    in insertion order).
     """
     seen, cores = set(), []
     for sub in edge_subsets_oracle(g):
@@ -111,28 +106,23 @@ def census_oracle(g):
     if not forest:
         contributing += [h for h in nonempty
                          if h.n_edges - h.n_vertices == best * cover_number(h)]
-    coeffs = {(0, 0): 1}
-    for h in contributing[1:]:
+    valid, coeffs = [], {}
+    for h in contributing:
         c2 = int(2 * cover_number(h))
-        seen_ones = set()
-        for cover in minimum_covers(h):
-            ones = cover.ones()
-            if ones not in seen_ones:
-                seen_ones.add(ones)
-                key = (len(ones), c2 - 2 * len(ones))
-                coeffs[key] = coeffs.get(key, 0) + 1
-    return cores, best, best_h, forest, contributing, coeffs
+        valid.append(list(dict.fromkeys(cover.ones() for cover in minimum_covers(h))))
+        for ones in valid[-1]:
+            key = (len(ones), c2 - 2 * len(ones))
+            coeffs[key] = coeffs.get(key, 0) + 1
+    return best, best_h, forest, contributing, valid, coeffs
 
 
 def assert_census_matches_oracle(g):
     census = subgraph_census(g)
-    cores, value, witness, forest, contributing, coeffs = census_oracle(g)
-    assert [h.edges for h in census.cores] == [h.edges for h in cores]
-    assert census.covers == [cover_number(h) for h in cores]
+    value, witness, forest, contributing, valid, coeffs = census_oracle(g)
     assert (census.gamma.value, census.gamma.forest) == (value, forest)
     assert census.gamma.witness.edges == witness.edges
     assert [h.edges for h in census.contributing] == [h.edges for h in contributing]
-    assert [set(a) for a in census.valid] == [valid_subsets(h) for h in contributing]
+    assert census.valid == valid
     # Insertion order too: P is evaluated term by term in that order.
     assert list(census.polynomial.coeffs.items()) == list(coeffs.items())
     assert gamma(g) == census.gamma
@@ -144,7 +134,13 @@ def assert_census_matches_oracle(g):
     complete_graph(4), complete_graph(5), butterfly(), complete_bipartite(2, 3),
     complete_bipartite(2, 4), complete_bipartite(3, 3), k0_graph(),
     Graph(list(k0_graph().edges) + [(10, 11), (11, 12), (12, 10)]),
-], ids=["K4", "K5", "butterfly", "K23", "K24", "K33", "K0", "K0+C3"])
+    Graph(list(k0_graph().edges) + [(5, 6), (6, 7), (7, 8)]),
+    Graph([(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (7, 8)]),
+    # Two contributing triangles, edges 0, 1, 5 and 2, 3, 4 in sorted order:
+    # the edge-list order differs from the order of the largest edges.
+    Graph([(0, 4), (4, 5), (5, 0), (1, 2), (2, 3), (3, 1)]),
+], ids=["K4", "K5", "butterfly", "K23", "K24", "K33", "K0", "K0+C3",
+        "K0+pendant-path", "branching-forest", "nested-C3+C3"])
 def test_census_matches_graph_per_mask_oracle(g):
     assert_census_matches_oracle(g)
 
@@ -153,9 +149,27 @@ PAIRS_ON_8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sets(st.sampled_from(PAIRS_ON_8), min_size=1, max_size=10))
-def test_census_matches_oracle_on_random_graphs(edges):
+@given(st.sets(st.sampled_from(PAIRS_ON_8), min_size=1, max_size=10),
+       st.lists(st.integers(0, 10), max_size=3))
+def test_census_matches_oracle_on_random_graphs(edges, anchors):
+    # Pendant vertices 8, 9, 10 hang off vertices picked by ``anchors``,
+    # earlier pendants included, so pendant trees grow too.
+    edges = list(edges)
+    for i, a in enumerate(anchors):
+        vertices = sorted({x for e in edges for x in e})
+        edges.append((vertices[a % len(vertices)], 8 + i))
     assert_census_matches_oracle(Graph(edges))
+
+
+def test_census_edge_cap():
+    # The cap bounds the scanned graph: the 2-core, or a forest itself.
+    with pytest.raises(CapExceededError, match="20 edges exceeds subset cap 16"):
+        subgraph_census(complete_bipartite(4, 5), cap=16)
+    path = Graph([(i, i + 1) for i in range(5)])
+    with pytest.raises(CapExceededError, match="5 edges exceeds subset cap 4"):
+        subgraph_census(path, cap=4)
+    pendant_path = Graph(list(complete_graph(4).edges) + [(3, 4), (4, 5), (5, 6)])
+    assert subgraph_census(pendant_path, cap=6).gamma.value == 1
 
 
 def test_gamma_pinned(k23, k0, triangle):

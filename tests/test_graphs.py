@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtail.errors import CapExceededError, EdgeListParseError, PreconditionError
+from regtail.errors import EdgeListParseError, PreconditionError
 from regtail.graphs import (Graph, butterfly, complete_bipartite, cycle_graph,
                             cycle_union, cycle_union_core, delta_star,
-                            edge_subgraphs, is_forest, k0_graph, make_named,
-                            parse_edge_list, two_core)
+                            is_forest, k0_graph, make_named, parse_edge_list,
+                            two_core)
 from conftest import small_corpus
 
 
@@ -110,24 +110,6 @@ def test_cycle_union_detection():
     assert cycle_union_core(k0_graph()) is None  # degree-4 vertex in the core
     assert cycle_union_core(Graph([(0, 1), (1, 2)])) is None
     assert cycle_union_core(cycle_union([3, 4, 4])) == [3, 4, 4]
-
-
-def test_edge_subgraph_counts():
-    assert sum(1 for _ in edge_subgraphs(Graph([(0, 1)]))) == 2
-    assert sum(1 for _ in edge_subgraphs(cycle_graph(3))) == 8
-    assert sum(1 for _ in edge_subgraphs(complete_bipartite(2, 3))) == 64
-
-
-def test_edge_subgraphs_are_subsets_and_id_stable():
-    g = butterfly()
-    for h in edge_subgraphs(g):
-        assert h.edges <= g.edges
-        assert set(h.vertices) <= set(g.vertices)
-
-
-def test_edge_subgraphs_cap():
-    with pytest.raises(CapExceededError):
-        list(edge_subgraphs(complete_bipartite(4, 5), cap=16))
 
 
 def test_delta_star_values():
