@@ -99,32 +99,58 @@ def ip_total(w: BlockGraphon, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _contract(k_graph: Graph, edge_ops: Sequence[np.ndarray],
-              vertex_ops: Sequence[np.ndarray] = ()) -> float:
-    """Contract the tensor network of K to a scalar: one index per pattern
-    vertex, one matrix per edge in ``sorted_edges()`` order, and optionally
-    one vector per vertex in ``vertices`` order. The empty pattern gives 1."""
+              vertex_ops: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """Contract the tensor network of K: one index per pattern vertex, one
+    matrix per edge in ``sorted_edges()`` order, and optionally one vector
+    per vertex in ``vertices`` order. The empty pattern gives 1.
+
+    Operands may share leading batch axes (a stack of matrices per edge);
+    the result keeps them, and is a 0-d array without them. An instance's
+    result does not depend on the size of the stack it is in. For that the
+    path is searched once, on one instance's shapes, and every step keeps
+    the batch axes in front: a single optimized einsum call would sort them
+    among the instance axes by size. And since numpy's batched matmul drops
+    axes of length 1, which changes the arithmetic, a stack of one is
+    contracted as a stack of two equal instances.
+    """
     if k_graph.is_empty:
-        return 1.0
+        return np.float64(1.0)
     letters = {v: chr(ord("a") + i) for i, v in enumerate(k_graph.vertices)}
     if len(letters) > 26:
         raise CapExceededError("pattern too large for block contraction")
     subs = [letters[u] + letters[v] for u, v in k_graph.sorted_edges()]
     if vertex_ops:
         subs += [letters[v] for v in k_graph.vertices]
-    return float(np.einsum(",".join(subs) + "->", *edge_ops, *vertex_ops, optimize=True))
+    ops = [np.asarray(op) for op in (*edge_ops, *vertex_ops)]
+    single = all(op.shape[:op.ndim - len(s)] == (1,) for s, op in zip(subs, ops))
+    if single:
+        ops = [np.concatenate([op, op]) for op in ops]
+    one = [op[(0,) * (op.ndim - len(s))] for s, op in zip(subs, ops)]
+    path = np.einsum_path(",".join(subs) + "->", *one, optimize=True)[0]
+    terms = list(zip(subs, ops))
+    for step in path[1:]:
+        picked = [terms.pop(i) for i in sorted(step, reverse=True)]
+        kept = set("".join(s for s, _ in terms))
+        out = "".join(sorted(set("".join(s for s, _ in picked)) & kept))
+        spec = ",".join("..." + s for s, _ in picked) + "->..." + out
+        # Pairwise steps go through numpy's batched matmul, the rest through
+        # one plain einsum, as a single optimized einsum call would run them.
+        terms.append((out, np.einsum(spec, *(op for _, op in picked), optimize=len(picked) == 2)))
+    (_, value), = terms
+    return value[:1] if single else value
 
 
 def hom_density(k_graph: Graph, w: BlockGraphon, cap: int = DEFAULT_BLOCK_TERM_CAP) -> float:
     """Hom(K, W): integral over vertex placements of the edge-value product."""
     if w.k ** max(k_graph.n_vertices, 1) > cap:
         raise CapExceededError("block assignment count exceeds cap")
-    return _contract(k_graph, [w.values] * k_graph.n_edges, [w.sizes] * k_graph.n_vertices)
+    return float(_contract(k_graph, [w.values] * k_graph.n_edges, [w.sizes] * k_graph.n_vertices))
 
 
 def hom_kernel(k_graph: Graph, sizes: np.ndarray, kernel: np.ndarray) -> float:
     """Hom(K, U) for an arbitrary symmetric block kernel (values may leave [0,1])."""
-    return _contract(k_graph, [np.asarray(kernel, float)] * k_graph.n_edges,
-                     [np.asarray(sizes, float)] * k_graph.n_vertices)
+    return float(_contract(k_graph, [np.asarray(kernel, float)] * k_graph.n_edges,
+                           [np.asarray(sizes, float)] * k_graph.n_vertices))
 
 
 def hom_block(k_graph: Graph, w: BlockGraphon, assignment: dict[int, int]) -> float:

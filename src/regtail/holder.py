@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,19 @@ from .graphs import Edge, Graph
 
 MAX_VERTICES = 7
 MAX_RESOLUTION = 24
+# Kernel entries one block of instances stacks, B * e * r^2: 256 KB of
+# float64, so a block's stack stays in cache and flop-bound dense patterns
+# (K5-K7) get small blocks.
+BLOCK_ENTRIES = 1 << 15
+
+
+def _check_grid(g: Graph, resolution: int) -> None:
+    if g.n_vertices > MAX_VERTICES:
+        raise CapExceededError(f"more than {MAX_VERTICES} vertices")
+    if resolution > MAX_RESOLUTION:
+        raise CapExceededError(f"resolution above {MAX_RESOLUTION}")
+    if resolution < 1:
+        raise PreconditionError("resolution must be at least 1")
 
 
 @dataclass
@@ -62,6 +75,11 @@ class HolderInstance:
 
     boxes[v] = (lo, hi) inside [0,1]; kernels are (r, r) arrays on
     box(u) x box(v) for the ordered edge (u, v) with u < v.
+
+    A block of B instances has the same fields with a leading axis: each
+    lo and hi is a (B,) array and each kernel a (B, r, r) array. The
+    evaluation below runs on blocks only, and one instance is a block of
+    one, so single instances and batches share every kernel.
     """
 
     graph: Graph
@@ -69,23 +87,35 @@ class HolderInstance:
     kernels: dict[Edge, np.ndarray]
     resolution: int
 
-    def cell(self, v: int) -> float:
+    def cell(self, v: int) -> "float | np.ndarray":
         lo, hi = self.boxes[v]
         return (hi - lo) / self.resolution
 
     def validate(self) -> None:
-        if self.graph.n_vertices > MAX_VERTICES:
-            raise CapExceededError(f"more than {MAX_VERTICES} vertices")
-        if self.resolution > MAX_RESOLUTION:
-            raise CapExceededError(f"resolution above {MAX_RESOLUTION}")
+        _check_grid(self.graph, self.resolution)
+        batch = np.shape(next(iter(self.boxes.values()))[0]) if self.boxes else ()
         for v, (lo, hi) in self.boxes.items():
-            if not 0.0 <= lo < hi <= 1.0:
+            if np.shape(lo) != batch or np.shape(hi) != batch or \
+                    not np.all((0.0 <= lo) & (lo < hi) & (hi <= 1.0)):
                 raise PreconditionError(f"box for vertex {v} is not a subinterval of [0,1]")
         for e, ker in self.kernels.items():
-            if ker.shape != (self.resolution, self.resolution):
-                raise PreconditionError(f"kernel for edge {e} has shape {ker.shape}")
+            shape = np.shape(ker)
+            if shape != batch + (self.resolution, self.resolution):
+                raise PreconditionError(f"kernel for edge {e} has shape {shape}")
             if not np.all(np.isfinite(ker)):
                 raise PreconditionError(f"kernel for edge {e} has non-finite values")
+
+    def as_block(self) -> "HolderInstance":
+        """This instance as a block of one."""
+        return HolderInstance(self.graph,
+                              {v: (np.array([lo]), np.array([hi])) for v, (lo, hi) in self.boxes.items()},
+                              {e: np.asarray(k)[None] for e, k in self.kernels.items()}, self.resolution)
+
+    def row(self, i: int) -> "HolderInstance":
+        """Instance i of a block."""
+        return HolderInstance(self.graph,
+                              {v: (float(lo[i]), float(hi[i])) for v, (lo, hi) in self.boxes.items()},
+                              {e: k[i] for e, k in self.kernels.items()}, self.resolution)
 
     def to_jsonable(self) -> dict:
         return {"edges": [list(e) for e in self.graph.sorted_edges()],
@@ -94,62 +124,80 @@ class HolderInstance:
                 "kernels": {f"{u}-{v}": k.tolist() for (u, v), k in self.kernels.items()}}
 
 
-def lhs_integral(inst: HolderInstance) -> float:
-    """Riemann sum of prod_e f_e over the product of the vertex boxes."""
-    inst.validate()
+def _lhs(inst: HolderInstance) -> np.ndarray:
     g = inst.graph
     total = _contract(g, [inst.kernels[e] for e in g.sorted_edges()])
     for v in g.vertices:
-        total *= inst.cell(v)
+        total = total * inst.cell(v)
     return total
 
 
-def _column_norm_max(kernel: np.ndarray, axis_of_v: int, a: Fraction, other_cell: float) -> float:
-    """sup over x_v of the L^a norm of the v-columns of |kernel|."""
-    absk = np.abs(kernel)
-    other_axis = 1 - axis_of_v
-    if a == 0:  # stands for a = infinity
-        return float(absk.max(axis=other_axis).max())
-    af = float(a)
-    col = (absk ** af).sum(axis=other_axis) * other_cell
-    return float((col.max()) ** (1.0 / af))
+def lhs_integral(inst: HolderInstance) -> float:
+    """Riemann sum of prod_e f_e over the product of the vertex boxes."""
+    block = inst.as_block()
+    block.validate()
+    return _lhs(block).item()
+
+
+# One factor of the right side: (edge, vertex, a, power). The factor is the
+# L^a norm of |f_e| raised to ``power``: over the whole box when vertex is
+# None, else the sup over x_vertex of the norm of the columns through it.
+# a is None for the sup norm (a = 1/0).
+_Factor = tuple[Edge, Optional[int], Optional[float], float]
+
+
+def _rhs_factors(g: Graph, wp: WeightPair) -> list[_Factor]:
+    """The right side's factors, from the weights alone, so that a batch
+    derives them once. The conventions are applied here, symbolically:
+
+    * a pulled-out factor has exponent (w'_e - w_e)/w'_e, which is 0 when
+      w'_e = w_e (by convention also at 0/0), so w'_e > 0 wherever one is
+      kept;
+    * a whole-box factor with w'_e = 0 is the sup norm, to the power 1;
+    * a whole-box factor with w_e = 0 < w'_e is a norm to the power 0,
+      which is 1 (0^0 = 1 included), so it is left out.
+    """
+    w = wp.matching.weights
+    wc = wp.cover.weights
+    sums = wp.cover.vertex_sums()
+    factors: list[_Factor] = []
+    for v in g.vertices:
+        if sums[v] <= 1:
+            continue
+        for e in g.sorted_edges():
+            if v in e and wc[e] != w[e]:
+                factors.append((e, v, float(1 / wc[e]), float((wc[e] - w[e]) / wc[e])))
+    for e in g.sorted_edges():
+        if wc[e] == 0:
+            factors.append((e, None, None, 1.0))
+        elif w[e] != 0:
+            factors.append((e, None, float(1 / wc[e]), float(w[e])))
+    return factors
+
+
+def _rhs(inst: HolderInstance, factors: list[_Factor]) -> np.ndarray:
+    absk = {e: np.abs(k) for e, k in inst.kernels.items()}
+    powered = {e: absk[e] ** a for e, _, a, _ in factors if a is not None}
+    product = 1.0
+    for e, v, a, power in factors:
+        if a is None:
+            norm = absk[e].max(axis=(-2, -1))
+        elif v is None:
+            norm = powered[e].sum(axis=(-2, -1)) * inst.cell(e[0]) * inst.cell(e[1])
+        else:
+            other = e[1] if e[0] == v else e[0]
+            columns = powered[e].sum(axis=-1 if e[0] == v else -2)
+            norm = (columns.max(axis=-1) * inst.cell(other)) ** (1.0 / a)
+        product = product * norm ** power
+    return product
 
 
 def rhs_bound(inst: HolderInstance, wp: WeightPair) -> float:
     """Right side of the inequality for the given weight pair."""
-    inst.validate()
-    g = inst.graph
-    wp.validate(g)
-    w = wp.matching.weights
-    wp_ = wp.cover.weights
-    oversat = {v for v, s in wp.cover.vertex_sums().items() if s > 1}
-
-    product = 1.0
-    # Pulled-out column-norm factors at oversaturated vertices.
-    for v in oversat:
-        for e in g.sorted_edges():
-            if v not in e:
-                continue
-            if wp_[e] == w[e]:
-                continue  # exponent (w'-w)/w' is 0 (also by convention at 0/0)
-            u_other = e[0] if e[1] == v else e[1]
-            axis_of_v = 0 if e[0] == v else 1
-            a = Fraction(1) / wp_[e] if wp_[e] > 0 else Fraction(0)  # 0 encodes infinity
-            norm = _column_norm_max(inst.kernels[e], axis_of_v, a, inst.cell(u_other))
-            product *= norm ** float((wp_[e] - w[e]) / wp_[e])
-    # Whole-box norms.
-    for e in g.sorted_edges():
-        ker = np.abs(inst.kernels[e])
-        if wp_[e] == 0:
-            # w_e = 0 too; by convention the factor is the sup norm to the 1st power.
-            product *= float(ker.max())
-            continue
-        a = float(Fraction(1) / wp_[e])
-        integral = float((ker ** a).sum()) * inst.cell(e[0]) * inst.cell(e[1])
-        if integral == 0.0 and w[e] == 0:
-            continue  # 0^0 -> factor 1
-        product *= integral ** float(w[e])
-    return product
+    block = inst.as_block()
+    block.validate()
+    wp.validate(inst.graph)
+    return _rhs(block, _rhs_factors(inst.graph, wp)).item()
 
 
 @dataclass
@@ -160,52 +208,87 @@ class VerifyResult:
     passed: bool
 
 
+def _verify(inst: HolderInstance, factors: list[_Factor], rel_slack: float):
+    """(lhs, rhs, margin, passed) of a validated block."""
+    lhs = _lhs(inst)
+    rhs = _rhs(inst, factors)
+    margin = rhs - lhs
+    return lhs, rhs, margin, margin >= -rel_slack * np.maximum(1.0, np.abs(rhs))
+
+
 def verify_instance(inst: HolderInstance, wp: WeightPair,
                     rel_slack: float = 1e-9) -> VerifyResult:
     """margin = RHS - LHS; passes iff margin >= -rel_slack * max(1, |RHS|)."""
-    lhs = lhs_integral(inst)
-    rhs = rhs_bound(inst, wp)
-    margin = rhs - lhs
-    return VerifyResult(lhs, rhs, margin, margin >= -rel_slack * max(1.0, abs(rhs)))
+    block = inst.as_block()
+    block.validate()
+    wp.validate(inst.graph)
+    lhs, rhs, margin, passed = _verify(block, _rhs_factors(inst.graph, wp), rel_slack)
+    return VerifyResult(lhs.item(), rhs.item(), margin.item(), passed.item())
+
+
+def _draw(g: Graph, rng: np.random.Generator, resolution: int,
+          full_boxes: bool = False) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """One instance's draws in stream order: a box per vertex, then the
+    kernels of ``sorted_edges()`` as one (e, r, r) array."""
+    boxes = []
+    for _ in g.vertices:
+        if full_boxes:
+            boxes.append((0.0, 1.0))
+        else:
+            lo = float(rng.uniform(0.0, 0.6))
+            boxes.append((lo, float(rng.uniform(lo + 0.2, 1.0))))
+    return boxes, rng.uniform(-1.0, 1.0, size=(g.n_edges, resolution, resolution))
 
 
 def random_instance(g: Graph, rng: np.random.Generator, resolution: int = 8,
                     full_boxes: bool = False) -> HolderInstance:
     """Seeded random step kernels in [-1, 1] on random (or full) boxes."""
-    boxes = {}
-    for v in g.vertices:
-        if full_boxes:
-            boxes[v] = (0.0, 1.0)
-        else:
-            lo = float(rng.uniform(0.0, 0.6))
-            hi = float(rng.uniform(lo + 0.2, 1.0))
-            boxes[v] = (lo, hi)
-    kernels = {e: rng.uniform(-1.0, 1.0, size=(resolution, resolution))
-               for e in g.sorted_edges()}
-    return HolderInstance(g, boxes, kernels, resolution)
+    boxes, kernels = _draw(g, rng, resolution, full_boxes)
+    return HolderInstance(g, dict(zip(g.vertices, boxes)),
+                          dict(zip(g.sorted_edges(), kernels)), resolution)
+
+
+def _draw_block(g: Graph, seed: int, indices: range, resolution: int) -> HolderInstance:
+    """Instances ``indices``, each drawn from its own stream (seed, i), as a block."""
+    draws = [_draw(g, np.random.default_rng([seed, i]), resolution) for i in indices]
+    boxes = np.array([b for b, _ in draws])  # (B, v, 2)
+    kernels = np.stack([k for _, k in draws], axis=1)  # (e, B, r, r)
+    return HolderInstance(g, {v: (boxes[:, j, 0], boxes[:, j, 1]) for j, v in enumerate(g.vertices)},
+                          dict(zip(g.sorted_edges(), kernels)), resolution)
 
 
 def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8,
                  rel_slack: float = 1e-9, max_failure_dumps: int = 3) -> dict:
     """Run seeded instances with generated admissible weights; count violations.
 
-    Violating instances (there should be none) are serialized inline so a
-    failure can be replayed from the report alone.
+    Instance i draws from its own stream (seed, i), and the instances are
+    evaluated in blocks of at most ``BLOCK_ENTRIES`` stacked kernel
+    entries; the report does not depend on the block size. Violating
+    instances (there should be none) are serialized inline so a failure can
+    be replayed from the report alone.
     """
+    if n_instances < 1:
+        raise PreconditionError("need at least one instance")
+    _check_grid(g, resolution)
     wp = WeightPair.generate(g)
+    factors = _rhs_factors(g, wp)
+    size = max(1, BLOCK_ENTRIES // (max(g.n_edges, 1) * resolution ** 2))
     violations = 0
     worst = math.inf
     failures = []
-    for i in range(n_instances):
-        rng = np.random.default_rng([seed, i])
-        inst = random_instance(g, rng, resolution)
-        res = verify_instance(inst, wp, rel_slack)
-        worst = min(worst, res.margin)
-        if not res.passed:
-            violations += 1
-            if len(failures) < max_failure_dumps:
-                failures.append({"instance_index": i, "lhs": res.lhs, "rhs": res.rhs,
-                                 "bundle": inst.to_jsonable()})
+    for start in range(0, n_instances, size):
+        indices = range(start, min(start + size, n_instances))
+        block = _draw_block(g, seed, indices, resolution)
+        block.validate()
+        # An edgeless pattern has nothing to stack and gives 0-d results.
+        lhs, rhs, margin, passed = (np.broadcast_to(x, (len(indices),))
+                                    for x in _verify(block, factors, rel_slack))
+        worst = min(worst, float(margin.min()))
+        failed = np.flatnonzero(~passed)
+        violations += len(failed)
+        for j in failed[:max(0, max_failure_dumps - len(failures))]:
+            failures.append({"instance_index": start + int(j), "lhs": float(lhs[j]),
+                             "rhs": float(rhs[j]), "bundle": block.row(j).to_jsonable()})
     return {"graph": g.name or repr(g), "instances": n_instances, "seed": seed,
             "violations": violations, "worst_margin": worst, "failures": failures}
 

@@ -689,6 +689,8 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
     Per-trial RNG streams are keyed by (seed, trial), so the result does not
     depend on any batching of the trials.
     """
+    if trials < 1:
+        raise PreconditionError("need at least one trial")
     p = d / n
     threshold = (1.0 + delta) * p ** pattern.n_edges * float(n) ** pattern.n_vertices
     plan = hom_plan(pattern, n, p)
@@ -697,7 +699,7 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
         g = sample_regular(n, d, [seed, t], **sampler_kwargs)
         if hom_count(pattern, g, plan) >= threshold:
             hits += 1
-    return TailEstimate(trials, hits, hits / trials if trials else 0.0,
+    return TailEstimate(trials, hits, hits / trials,
                         wilson_interval(hits, trials), threshold, seed)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from regtail.cli import main
@@ -235,6 +236,33 @@ def test_holder_k6(capsys):
     blob = json.loads(out)
     assert blob["holder"]["instances"] == 200
     assert blob["holder"]["violations"] == 0
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_holder_cli_needs_an_instance(capsys, count):
+    code, out, err = run_cli(capsys, "holder", "--family", "butterfly", "--instances", count)
+    assert code == 2 and out == ""
+    assert "instance" in err
+
+
+@pytest.mark.parametrize("resolution, code", [("0", 2), ("-2", 2), ("25", 3)])
+def test_holder_cli_resolution_bounds(capsys, monkeypatch, resolution, code):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew an instance before checking the resolution")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    got, out, err = run_cli(capsys, "holder", "--family", "k0", "--instances", "5",
+                            "--resolution", resolution)
+    assert got == code and out == ""
+    assert "resolution" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_simulate_cli_needs_a_trial(capsys, count):
+    code, out, err = run_cli(capsys, "simulate", "--family", "cycle:3", "--n", "12",
+                             "--d", "3", "--delta", "-0.5", "--trials", count)
+    assert code == 2 and out == ""
+    assert "trial" in err
 
 
 def test_simulate_cli_with_dump(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from regtail.errors import InfeasibleConstructionError, PreconditionError
 from regtail.exponents import gamma, p_polynomial
-from regtail.graphons import (BlockGraphon, ConditionThresholds, build_w0,
+from regtail.graphons import (BlockGraphon, ConditionThresholds, _contract, build_w0,
                               build_w1, check_conditions, classify_blocks,
                               hom_block, hom_density, ip_scalar, ip_total,
                               iter_assignments, regularity_residual,
@@ -93,6 +93,26 @@ def test_hom_density_matches_quadrature_oracle():
     direct = hom_density(c4, w)
     oracle = quadrature_hom_oracle(c4, w)
     assert abs(direct - oracle) < 1e-9 * max(1.0, abs(direct))
+
+
+def test_stacked_contraction_does_not_depend_on_stack_size():
+    # Each instance of a stack gets the arithmetic it gets alone: one
+    # instance, a stack of one, and stacks of 2, 5 and 12 agree bit for bit.
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        v = int(rng.integers(2, 7))
+        pairs = list(itertools.combinations(range(v), 2))
+        picked = rng.choice(len(pairs), int(rng.integers(1, len(pairs) + 1)), replace=False)
+        g = Graph([pairs[i] for i in picked])
+        r = int(rng.choice([2, 3, 5]))
+        ops = [rng.uniform(-1.0, 1.0, size=(12, r, r)) for _ in g.edges]
+        whole = _contract(g, ops)
+        assert whole.shape == (12,)
+        alone = [_contract(g, [op[i] for op in ops]) for i in range(12)]
+        assert np.array_equal(np.array(alone), whole), g
+        for size in (1, 2, 5):
+            parts = [_contract(g, [op[s:s + size].copy() for op in ops]) for s in range(0, 12, size)]
+            assert np.array_equal(np.concatenate(parts), whole), (g, size)
 
 
 def test_partition_identity():

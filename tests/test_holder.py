@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import regtail.holder as holder
 from regtail.errors import PreconditionError
 from regtail.fractional import EdgeWeightVector, strict_weight_pair
 from regtail.graphs import Graph, butterfly, complete_bipartite, cycle_graph, k0_graph
@@ -14,6 +15,13 @@ from regtail.holder import (HolderInstance, WeightPair, lhs_integral,
 from regtail.graphons import build_w0
 
 H = Fraction(1, 2)
+
+# The holder suite of criterion 8 and the benchmark. Its generated weights
+# reach every convention of the right side: P3 and K23 pull out column
+# norms at oversaturated vertices and drop a factor of exponent 0 (w = 0 <
+# w'); C4, K23, the butterfly and K0 take sup norms (w = w' = 0).
+SUITE = {"P3": Graph([(0, 1), (1, 2)]), "C4": cycle_graph(4), "C5": cycle_graph(5),
+         "K23": complete_bipartite(2, 3), "butterfly": butterfly(), "K0": k0_graph()}
 
 
 def nested_loop_lhs_oracle(inst):
@@ -31,6 +39,67 @@ def nested_loop_lhs_oracle(inst):
     for v in verts:
         total *= inst.cell(v)
     return total
+
+
+def _column_norm_max(kernel, axis_of_v, a, other_cell):
+    """sup over x_v of the L^a norm of the v-columns of |kernel|."""
+    absk = np.abs(kernel)
+    other_axis = 1 - axis_of_v
+    if a == 0:  # stands for a = infinity
+        return float(absk.max(axis=other_axis).max())
+    af = float(a)
+    col = (absk ** af).sum(axis=other_axis) * other_cell
+    return float((col.max()) ** (1.0 / af))
+
+
+def scalar_rhs_oracle(inst, wp):
+    """Second implementation of the right side: one instance, one factor at
+    a time, with the conventions applied inline."""
+    g = inst.graph
+    w = wp.matching.weights
+    wp_ = wp.cover.weights
+    oversat = {v for v, s in wp.cover.vertex_sums().items() if s > 1}
+
+    product = 1.0
+    # Pulled-out column-norm factors at oversaturated vertices.
+    for v in oversat:
+        for e in g.sorted_edges():
+            if v not in e:
+                continue
+            if wp_[e] == w[e]:
+                continue  # exponent (w'-w)/w' is 0 (also by convention at 0/0)
+            u_other = e[0] if e[1] == v else e[1]
+            axis_of_v = 0 if e[0] == v else 1
+            a = Fraction(1) / wp_[e] if wp_[e] > 0 else Fraction(0)  # 0 encodes infinity
+            norm = _column_norm_max(inst.kernels[e], axis_of_v, a, inst.cell(u_other))
+            product *= norm ** float((wp_[e] - w[e]) / wp_[e])
+    # Whole-box norms.
+    for e in g.sorted_edges():
+        ker = np.abs(inst.kernels[e])
+        if wp_[e] == 0:
+            # w_e = 0 too; by convention the factor is the sup norm to the 1st power.
+            product *= float(ker.max())
+            continue
+        a = float(Fraction(1) / wp_[e])
+        integral = float((ker ** a).sum()) * inst.cell(e[0]) * inst.cell(e[1])
+        if integral == 0.0 and w[e] == 0:
+            continue  # 0^0 -> factor 1
+        product *= integral ** float(w[e])
+    return product
+
+
+def from_bundle(bundle):
+    """The instance a failure dump serializes."""
+    g = Graph([tuple(e) for e in bundle["edges"]])
+    boxes = {int(v): tuple(b) for v, b in bundle["boxes"].items()}
+    kernels = {tuple(int(x) for x in k.split("-")): np.array(m)
+               for k, m in bundle["kernels"].items()}
+    return HolderInstance(g, boxes, kernels, bundle["resolution"])
+
+
+def every_instance(g, n, seed, **kwargs):
+    """verify_batch with every instance failing, so that all are dumped."""
+    return verify_batch(g, n, seed, rel_slack=-10.0, max_failure_dumps=n, **kwargs)
 
 
 def constant_instance(g, constants, boxes=None, r=4):
@@ -146,6 +215,117 @@ def test_k23_four_cycle_weighting_bound_shape():
     sup_col = float(np.sqrt((u ** 2).mean(axis=1)).max())
     assert abs(res.rhs - sup_col ** 2 * u2 ** 2) < 1e-12  # the Example-5.2 shape
     assert sup_col ** 2 <= (2 + eps) * p
+
+
+def test_suite_covers_pulled_out_norms_and_zero_weights():
+    for name, g in SUITE.items():
+        wp = WeightPair.generate(g)
+        sums = wp.cover.vertex_sums()
+        w, wc = wp.matching.weights, wp.cover.weights
+        pulled = any(sums[v] > 1 and wc[e] != w[e] for e in g.edges for v in e)
+        dropped = any(w[e] == 0 < wc[e] for e in g.edges)
+        sup = any(wc[e] == 0 for e in g.edges)
+        assert pulled == dropped == (name in ("P3", "K23")), name
+        assert sup == (name in ("C4", "K23", "butterfly", "K0")), name
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_batch_matches_oracles(name):
+    g = SUITE[name]
+    wp = WeightPair.generate(g)
+    out = every_instance(g, 12, 5, resolution=4)
+    assert [f["instance_index"] for f in out["failures"]] == list(range(12))
+    margins = []
+    for f in out["failures"]:
+        inst = random_instance(g, np.random.default_rng([5, f["instance_index"]]), resolution=4)
+        assert f["bundle"] == inst.to_jsonable()
+        lhs = nested_loop_lhs_oracle(inst)
+        rhs = scalar_rhs_oracle(inst, wp)
+        assert abs(f["lhs"] - lhs) <= 1e-12 * abs(lhs)
+        assert abs(f["rhs"] - rhs) <= 1e-12 * abs(rhs)
+        assert abs(lhs_integral(inst) - lhs) <= 1e-12 * abs(lhs)
+        assert abs(rhs_bound(inst, wp) - rhs) <= 1e-12 * abs(rhs)
+        margins.append(rhs - lhs)
+    assert out["worst_margin"] == pytest.approx(min(margins), rel=1e-9)
+
+
+def test_random_instance_draws_boxes_then_kernels():
+    # The order a failure's (seed, i) replays in: lo and hi per vertex,
+    # then one r x r kernel per edge in sorted order.
+    g = butterfly()
+    inst = random_instance(g, np.random.default_rng([3, 1]), resolution=3)
+    rng = np.random.default_rng([3, 1])
+    for v in g.vertices:
+        lo = rng.uniform(0.0, 0.6)
+        assert inst.boxes[v] == (lo, rng.uniform(lo + 0.2, 1.0))
+    for e in g.sorted_edges():
+        assert np.array_equal(inst.kernels[e], rng.uniform(-1.0, 1.0, size=(3, 3)))
+
+
+# The paw and the diamond end in contractions whose arithmetic numpy's
+# batched matmul changes for a stack of one.
+BLOCKING_CASES = {**SUITE, "paw": Graph([(0, 1), (0, 2), (1, 2), (2, 3)]),
+                  "diamond": Graph([(0, 1), (0, 3), (1, 3), (2, 3)])}
+
+
+@pytest.mark.parametrize("name", BLOCKING_CASES)
+def test_batch_report_does_not_depend_on_block_size(name, monkeypatch):
+    g = BLOCKING_CASES[name]
+    r = 8
+    reports = {}
+    for size in (None, 1, 7):
+        if size is not None:
+            monkeypatch.setattr(holder, "BLOCK_ENTRIES", size * g.n_edges * r * r)
+        reports[size] = (verify_batch(g, 30, 2, resolution=r), every_instance(g, 30, 2, resolution=r))
+    assert reports[1] == reports[None]
+    assert reports[7] == reports[None]
+
+
+def test_failure_dumps_replay():
+    g = complete_bipartite(2, 3)
+    wp = WeightPair.generate(g)
+    out = verify_batch(g, 5, 11, rel_slack=-10.0)
+    assert out["violations"] == 5
+    assert [f["instance_index"] for f in out["failures"]] == [0, 1, 2]
+    for f in out["failures"]:
+        inst = from_bundle(f["bundle"])
+        assert lhs_integral(inst) == pytest.approx(f["lhs"], rel=1e-12)
+        assert rhs_bound(inst, wp) == pytest.approx(f["rhs"], rel=1e-12)
+
+
+def test_batch_refuses_bad_counts_and_grids():
+    g = cycle_graph(4)
+    for n in (0, -3):
+        with pytest.raises(PreconditionError):
+            verify_batch(g, n, 1)
+    for r in (0, -2):
+        with pytest.raises(PreconditionError):
+            verify_batch(g, 5, 1, resolution=r)
+
+
+def test_instance_shapes_are_checked():
+    g = Graph([(0, 1)])
+    boxes = {0: (0.0, 1.0), 1: (0.0, 1.0)}
+    with pytest.raises(PreconditionError):  # a stack of kernels under scalar boxes
+        lhs_integral(HolderInstance(g, boxes, {(0, 1): np.ones((3, 4, 4))}, 4))
+    with pytest.raises(PreconditionError):
+        lhs_integral(HolderInstance(g, boxes, {(0, 1): np.ones((4, 5))}, 4))
+    block = HolderInstance(g, {0: (np.zeros(2), np.ones(2)), 1: (np.zeros(3), np.ones(3))},
+                           {(0, 1): np.ones((2, 4, 4))}, 4)
+    with pytest.raises(PreconditionError):
+        block.validate()
+
+
+def test_slack_is_relative_to_max_of_one_and_rhs():
+    g = complete_bipartite(2, 3)
+    wp = WeightPair.generate(g)
+    res = verify_instance(random_instance(g, np.random.default_rng(4)), wp)
+    assert 0 < res.margin and abs(res.rhs) < 0.5
+    # Below |RHS| = 1 the slack is absolute: -rel_slack * 1.
+    assert not verify_instance(random_instance(g, np.random.default_rng(4)), wp,
+                               rel_slack=-2 * res.margin).passed
+    assert verify_instance(random_instance(g, np.random.default_rng(4)), wp,
+                           rel_slack=-0.5 * res.margin).passed
 
 
 def test_batch_no_violations_small():
