@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import __version__
 from .errors import (BudgetExhaustedError, CapExceededError,
                      EdgeListParseError, InfeasibleConstructionError,
                      PreconditionError)
-from .exponents import DEFAULT_SUBSET_CAP, classify_and_rate, rho, subgraph_census
+from .exponents import classify_and_rate, rho, subgraph_census
 from .fractional import DEFAULT_COVER_CAP, frac_vertex_cover_number
 from .graphs import (Graph, delta_star, describe_subgraph, is_forest, make_named,
                      parse_edge_list)
@@ -55,18 +56,24 @@ def _load_graph(args) -> tuple[Graph, list[str]]:
         raise PreconditionError("exactly one of --family/--file is required")
     if family:
         return _parse_family(family), []
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(_read(path))
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}")
 
 
 def _parse_caps(args) -> dict[str, int]:
-    caps = {"edges": DEFAULT_SUBSET_CAP, "cover": DEFAULT_COVER_CAP}
+    caps = {"cover": DEFAULT_COVER_CAP}
     raw = getattr(args, "caps", None)
     if raw:
         for item in raw.split(","):
             key, _, value = item.partition("=")
             if key not in caps or not value.isdigit():
-                raise PreconditionError(f"bad cap {item!r}; use edges=/cover=")
+                raise PreconditionError(f"bad cap {item!r}; use cover=")
             caps[key] = int(value)
     return caps
 
@@ -145,7 +152,7 @@ def cmd_invariants(args) -> None:
         payload["classification"] = "forest: upper tail trivial"
         _emit(args, payload)
         return
-    census = subgraph_census(g, caps["edges"], caps["cover"])
+    census = subgraph_census(g, caps["cover"])
     payload["gamma"] = str(census.gamma.value)
     payload["contributing"] = [describe_subgraph(h, g) for h in census.contributing]
     nonempty = [(h, bad, valid) for h, bad, valid in
@@ -164,7 +171,7 @@ def cmd_invariants(args) -> None:
 def cmd_rate(args) -> None:
     g, warnings = _load_graph(args)
     caps = _parse_caps(args)
-    report = classify_and_rate(g, args.delta, args.n, args.p, caps["edges"], caps["cover"])
+    report = classify_and_rate(g, args.delta, args.n, args.p, caps["cover"])
     _emit(args, {"warnings": warnings, "rate_report": report.to_jsonable()})
 
 
@@ -178,7 +185,10 @@ def _construction(args, p: float):
 
 def _p_values(args) -> list[float]:
     if args.p_grid:
-        return [float(x) for x in args.p_grid.split(",")]
+        try:
+            return [float(x) for x in args.p_grid.split(",")]
+        except ValueError:
+            raise PreconditionError(f"bad --p-grid {args.p_grid!r}; use comma-separated numbers")
     if args.p is not None:
         return [args.p]
     raise PreconditionError("need --p or --p-grid")
@@ -187,7 +197,7 @@ def _p_values(args) -> list[float]:
 def cmd_construct(args) -> None:
     g, _ = _load_graph(args)
     caps = _parse_caps(args)
-    census = None if args.w1 else subgraph_census(g, caps["edges"], caps["cover"])
+    census = None if args.w1 else subgraph_census(g, caps["cover"])
     e_k = g.n_edges
     rows = []
     for p in _p_values(args):
@@ -219,11 +229,10 @@ def cmd_check_conditions(args) -> None:
     w = _construction(args, args.p)
     thresholds = ConditionThresholds()
     if args.thresholds_file:
-        with open(args.thresholds_file, "r", encoding="utf-8") as fh:
-            for key, value in json.load(fh).items():
-                if not hasattr(thresholds, key):
-                    raise PreconditionError(f"unknown threshold {key!r}")
-                setattr(thresholds, key, value)
+        for key, value in json.loads(_read(args.thresholds_file)).items():
+            if not hasattr(thresholds, key):
+                raise PreconditionError(f"unknown threshold {key!r}")
+            setattr(thresholds, key, value)
     report = check_conditions(w, g, args.n, args.p, thresholds)
     _emit(args, {"conditions": report.to_jsonable()})
 
@@ -263,10 +272,9 @@ def _add_graph_source(sub) -> None:
 def _add_common(sub) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--caps", help="enumeration caps: edges= bounds the edges of the "
-                                    "pattern's 2-core, or of the pattern if it is a forest "
-                                    "(2^e subsets), cover= the vertices of that graph and of "
-                                    "the cover witness (3^v rows), e.g. edges=21,cover=12")
+    sub.add_argument("--caps", help="enumeration cap: cover= bounds the vertices of the "
+                                    "pattern's 2-core and of the cover witness (3^v rows), "
+                                    "e.g. cover=12")
 
 
 def _add_construction(sub) -> None:

@@ -4,8 +4,8 @@ Computes the subgraph exponent gamma, the contributing subgraphs, the
 two-variable counting polynomial P(z, w), its constrained minimum rho, the
 cycle-union constant, the special K0 variational rate, and dispatches the
 applicable rate formula at a given (delta, n, p). gamma, the contributing
-subgraphs and P come from a SubgraphCensus: array arithmetic over the edge
-subsets of the 2-core and one half-integral cover table of it.
+subgraphs and P come from a SubgraphCensus: each row of one half-integral
+cover table of the 2-core names a subgraph; forests take a closed form.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import CapExceededError, PreconditionError
-from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_table
-from .graphs import Edge, Graph, cycle_union_core, two_core
+from .errors import PreconditionError
+from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_number, cover_rows
+from .graphs import Edge, Graph, components, cycle_union_core, two_core
 from .graphons import ip_scalar
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -104,19 +104,16 @@ class HalfExpPolynomial:
 # The subgraph census: gamma, contributing subgraphs and P, from one table
 # ---------------------------------------------------------------------------
 
-DEFAULT_SUBSET_CAP = 21  # edges of the scanned graph; 2^21 subsets
-
-
 @dataclass(frozen=True)
 class GammaResult:
     value: Fraction
-    witness: Optional[Graph]  # a maximizer with minimum degree >= 2
+    witness: Optional[Graph]  # a maximizer; of minimum degree >= 2 unless g is a forest
     forest: bool
 
 
 @dataclass(frozen=True)
 class SubgraphCensus:
-    """The invariants of a pattern that come from its edge subsets.
+    """The invariants of a pattern that come from its subgraphs.
 
     ``contributing`` are the subgraphs of minimum degree >= 2 attaining
     gamma, the empty one included, sorted by edge count and then edge list;
@@ -138,92 +135,124 @@ class SubgraphCensus:
         return [bad_edges(h) for h in self.contributing]
 
 
-def subgraph_census(g: Graph, cap: int = DEFAULT_SUBSET_CAP,
-                    cover_cap: int = DEFAULT_COVER_CAP) -> SubgraphCensus:
-    """gamma, the contributing subgraphs and P(z, w) from one cover table.
+def _forest_gamma(g: Graph) -> GammaResult:
+    """gamma of a forest, with its first maximizer in bitmask order.
 
-    Every subgraph of minimum degree >= 2 lies in the 2-core, and removing
-    a leaf keeps e - v fixed and never raises the cover number, so the scan
-    runs over the edge subsets H of S = two_core(g), or of S = g when g is
-    a forest. Each half-integral cover w of S covers an edge set U_w, and
-    c(H) is the least total of a w with U_w containing H: a superset
-    minimum over the 2^e bitmasks. The minimum covers of H are the rows of
-    that total covering H, which are zero off H.
+    A forest with k trees has e - v = -k and c the sum of their matching
+    numbers, at most k nu for nu the largest in g, so gamma = -1/nu is
+    attained exactly when every tree has matching number nu. From the
+    highest edge down, an edge is dropped when the edges left still hold
+    such trees containing every kept edge (or one such tree if none is).
+    """
+    def trees(edges) -> list[tuple[set[int], Fraction]]:
+        h = Graph(edges)
+        return [(c, cover_number(h.subgraph(e for e in h.edges if e[0] in c)))
+                for c in map(set, components(h))]
 
-    ``cap`` bounds the edges of S and ``cover_cap`` its vertices.
+    nu = max(n for _, n in trees(g.edges))
+    es, kept = g.sorted_edges(), []
+    for i in reversed(range(len(es))):
+        tops = [t for t, n in trees(es[:i] + kept) if n == nu]
+        if not tops or any(all(u not in t for t in tops) for u, _ in kept):
+            kept.append(es[i])
+    return GammaResult(-1 / nu, g.subgraph(kept), True)
+
+
+def subgraph_census(g: Graph, cover_cap: int = DEFAULT_COVER_CAP) -> SubgraphCensus:
+    """gamma, the contributing subgraphs and P(z, w) from the rows of one
+    half-integral cover table of the 2-core S (``cover_cap`` bounds its
+    vertices), which holds every subgraph of minimum degree >= 2.
+
+    With weights doubled, each row x names a subgraph H_x: the covered
+    edges (x_a + x_b >= 2) between members, a vertex being a member when
+    x_v > 0, or when x_v = 0 and at least two neighbours have x = 2. A row
+    counts when H_x is nonempty without a vertex of degree 1; its ratio is
+    2(e(H_x) - v(H_x)) over its total.
+    - No row overshoots: e - v >= 0 at minimum degree 2, and x covers H_x,
+      so ratio(H_x) is at least the row's.
+    - Every maximizer H is some H_x, for x a minimum cover of H (zero off
+      H): a covered edge inside V(H), or a vertex of weight 0 with two
+      neighbours of weight 1, missing from H would raise e - v at the same
+      cover total.
+    So gamma is the largest row ratio, the contributing subgraphs are the
+    H_x of attaining rows, and the minimum covers of each are its attaining
+    rows of total 2 c(H_x), in table order. For gamma > 0 every attaining
+    row has that total; for gamma = 0 an attaining H_x is a union of cycles
+    (e = v at minimum degree 2), whose 2c is v(H_x). Forests have no such
+    subgraph and take ``_forest_gamma``.
     """
     if g.is_empty:
         raise PreconditionError("gamma needs at least one edge")
-    core = two_core(g)
-    forest = core.is_empty
-    s = g if forest else core
-    es, e, v = s.sorted_edges(), s.n_edges, s.n_vertices
-    if e > cap:
-        raise CapExceededError(f"{e} edges exceeds subset cap {cap}")
-    rows, covered, totals = cover_table(s, cover_cap)
-    row_masks = covered @ (1 << np.arange(e, dtype=np.int64))
-    c2 = np.full(1 << e, 2 * v, dtype=np.int32)  # doubled cover numbers
-    np.minimum.at(c2, row_masks, totals)
-    for i in range(e):
-        pairs = c2.reshape(-1, 2, 1 << i)
-        np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    s, empty = two_core(g), g.subgraph([])
+    if s.is_empty:
+        return SubgraphCensus(_forest_gamma(g), [empty], [[frozenset()]],
+                              HalfExpPolynomial({(0, 0): 1}))
+    x = cover_rows(s, cover_cap).T.view(np.uint8)  # x[v]: v's doubled weight per row
+    v, es = s.n_vertices, s.sorted_edges()
+    index = {vid: i for i, vid in enumerate(s.vertices)}
+    nbrs = np.full((v, max(s.degrees().values())), v)  # padded with an all-zero row
+    for i, adj in enumerate(s.neighbors().values()):
+        nbrs[i, :len(adj)] = [index[u] for u in adj]
 
-    masks = np.arange(1 << e, dtype=np.int64)
-    excess = np.bitwise_count(masks).astype(np.int32)  # e(H) - v(H)
-    own_core = np.ones(1 << e, dtype=bool)  # no vertex of degree 1
-    for x in s.vertices:
-        deg = np.bitwise_count(masks & sum(1 << i for i, ends in enumerate(es) if x in ends))
-        excess -= deg > 0
-        own_core &= deg != 1
-    # A forest has no nonempty core: its (negative) maximum is taken over
-    # every nonempty subset instead, and flagged.
-    pool = masks[1:] if forest else np.flatnonzero(own_core[1:]) + 1
-    # gamma is the largest 2(e - v)/c2 over the distinct pairs, each keyed
-    # by one integer (-v <= e - v and 0 <= c2 <= 2v).
-    seen = np.bincount((excess[pool] + v) * (2 * v + 1) + c2[pool])
-    best = max(Fraction(2 * (k // (2 * v + 1) - v), k % (2 * v + 1))
-               for k in np.flatnonzero(seen).tolist())
-    attains = 2 * best.denominator * excess == best.numerator * c2
+    def around(a: np.ndarray) -> np.ndarray:  # per vertex and row, the sum over neighbours
+        return np.concatenate([a, np.zeros_like(a[:1])])[nbrs].sum(axis=1, dtype=np.uint8)
 
-    def edges_of(m: int) -> list[Edge]:
-        return [es[i] for i in range(e) if m >> i & 1]
+    ones = x >> 1  # weight 1 (doubled 2)
+    positive = np.minimum(x, 1)
+    near_ones = around(ones)
+    joins = ((x == 0) & (near_ones >= 2)).view(np.uint8)  # members of weight 0
+    deg = positive * around(positive) + ones * around(joins) + joins * near_ones  # in H_x
+    size = np.count_nonzero(deg, axis=0)  # v(H_x)
+    excess = deg.sum(axis=0, dtype=np.int32) - 2 * size  # 2 (e - v)
+    totals = x.sum(axis=0, dtype=np.int32)
+    counted = np.flatnonzero((size > 0) & ~(deg == 1).any(axis=0))
+    # Distinct ratios with totals up to 2v differ by far more than a
+    # rounding error, so the float argmax is an exact maximizer.
+    top = counted[np.argmax(excess[counted] / totals[counted])]
+    best = Fraction(int(excess[top]), int(totals[top]))
+    keep = counted[excess[counted] * best.denominator == best.numerator * totals[counted]]
+    keep = keep[(best > 0) | (totals[keep] == size[keep])]  # the minimum covers
 
-    # The empty core attains e - v = c * gamma as 0 = 0: it counts by
-    # convention (vacuous degree condition) and supplies P's constant term.
-    order = sorted(np.flatnonzero(own_core & attains).tolist(),
-                   key=lambda m: (m.bit_count(), edges_of(m)))
-    witness = int(np.flatnonzero(attains[1:])[0]) + 1 if forest else order[1]
-    valid: list[list[frozenset[int]]] = []
-    coeffs: dict[tuple[int, int], int] = {}
-    for m in order:
-        minimal = rows[((row_masks & m) == m) & (totals == c2[m])]
+    rows = x[:, keep]
+    member = (rows > 0) | (joins[:, keep] > 0)
+    a, b = np.array([[index[u], index[w]] for u, w in es]).T
+    inside = ((rows[a] + rows[b] >= 2) & member[a] & member[b]).T  # edges of H_x
+    groups: dict[bytes, list[int]] = {}
+    for k, h in enumerate(inside):
+        groups.setdefault(h.tobytes(), []).append(k)
+    found = sorted((([es[j] for j in np.flatnonzero(inside[ks[0]])], ks) for ks in groups.values()),
+                   key=lambda item: (len(item[0]), item[0]))
+    contributing, valid = [empty], [[frozenset()]]
+    coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
+    for edges, ks in found:
+        contributing.append(s.subgraph(edges))
         valid.append(list(dict.fromkeys(
-            frozenset(s.vertices[i] for i in np.flatnonzero(r == 2)) for r in minimal)))
-        for a in valid[-1]:
-            key = (len(a), int(c2[m]) - 2 * len(a))
+            frozenset(s.vertices[i] for i in np.flatnonzero(rows[:, k] == 2)) for k in ks)))
+        c2 = int(totals[keep[ks[0]]])
+        for subset in valid[-1]:
+            key = (len(subset), c2 - 2 * len(subset))
             coeffs[key] = coeffs.get(key, 0) + 1
-    return SubgraphCensus(GammaResult(best, s.subgraph(edges_of(witness)), forest),
-                          [s.subgraph(edges_of(m)) for m in order], valid,
-                          HalfExpPolynomial(coeffs))
+    return SubgraphCensus(GammaResult(best, contributing[1], False),
+                          contributing, valid, HalfExpPolynomial(coeffs))
 
 
-def gamma(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> GammaResult:
+def gamma(g: Graph) -> GammaResult:
     """Exact max of (e(H) - v(H)) / c(H) over nonempty subgraphs H."""
-    return subgraph_census(g, cap).gamma
+    return subgraph_census(g).gamma
 
 
-def contributing_subgraphs(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> list[Graph]:
+def contributing_subgraphs(g: Graph) -> list[Graph]:
     """Subgraphs of min degree >= 2 attaining e - v = c * gamma, plus empty.
 
     The empty graph counts by convention (vacuous degree condition, cover
     number 0); it supplies the counting polynomial's constant term.
     """
-    return subgraph_census(g, cap).contributing
+    return subgraph_census(g).contributing
 
 
-def p_polynomial(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> HalfExpPolynomial:
+def p_polynomial(g: Graph) -> HalfExpPolynomial:
     """Generating polynomial over contributing subgraphs and valid subsets."""
-    return subgraph_census(g, cap).polynomial
+    return subgraph_census(g).polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +316,8 @@ def rho(poly_or_graph: Union[HalfExpPolynomial, Graph], delta: float,
     with per-point bisection in z, refined by golden section, finds the
     global minimum of the boundary objective.
     """
-    if delta <= 0:
-        raise PreconditionError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise PreconditionError("delta must be positive and finite")
     poly = poly_or_graph if isinstance(poly_or_graph, HalfExpPolynomial) else p_polynomial(poly_or_graph)
     if poly.is_constant:
         return math.inf
@@ -331,8 +360,8 @@ def cycle_constant(lengths: list[int], delta: float) -> float:
     """
     if not lengths or any(l < 3 for l in lengths):
         raise PreconditionError("cycle lengths must all be >= 3")
-    if delta <= 0:
-        raise PreconditionError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise PreconditionError("delta must be positive and finite")
     target = 1.0 + delta
 
     def f(c: float) -> float:
@@ -462,7 +491,6 @@ def _general_window(g: Graph, gamma_value: Fraction, n: float, p: float
 
 
 def classify_and_rate(g: Graph, delta: float, n: float, p: float,
-                      cap: int = DEFAULT_SUBSET_CAP,
                       cover_cap: int = DEFAULT_COVER_CAP) -> RateReport:
     """Dispatch the applicable upper-tail rate formula.
 
@@ -471,11 +499,11 @@ def classify_and_rate(g: Graph, delta: float, n: float, p: float,
     free of bad edges (sharp constant), and otherwise a logarithmic bracket
     whose lower constant is reported as order-only. All structural tests run
     on the 2-core: removing a leaf rescales the count and its benchmark by
-    the same factor, leaving the tail event unchanged. The caps are those of
-    ``subgraph_census``.
+    the same factor, leaving the tail event unchanged. ``cover_cap`` is that
+    of ``subgraph_census``.
     """
-    if n < 3 or not 0.0 < p < 1.0 or delta <= 0:
-        raise PreconditionError("need n >= 3, p in (0, 1), delta > 0")
+    if not (3 <= n < math.inf and 0.0 < p < 1.0 and 0 < delta < math.inf):
+        raise PreconditionError("need finite n >= 3, p in (0, 1), finite delta > 0")
     inputs = {"delta": delta, "n": n, "p": p, "edges": g.n_edges, "vertices": g.n_vertices}
     core = two_core(g)
 
@@ -496,7 +524,7 @@ def classify_and_rate(g: Graph, delta: float, n: float, p: float,
             "n^{-1/3} << p << 1", bool(n ** (-1.0 / 3.0) < p < 1.0),
             f"2-core is a disjoint union of cycles {lengths}", inputs)
 
-    census = subgraph_census(g, cap, cover_cap)
+    census = subgraph_census(g, cover_cap)
     gr = census.gamma
     window, in_window, _ = _general_window(g, gr.value, n, p)
 

@@ -4,11 +4,11 @@ Matchings come from the bipartite double cover: the fractional cover
 number, the bad edges and every matching and edge-cover witness are read
 off maximum matchings of B(g), found by an augmenting-path search in
 polynomial time. Only vertex covers use tables: every minimum cover is
-attained at a half-integral point, so ``cover_table`` enumerates weight
+attained at a half-integral point, so ``cover_rows`` enumerates weight
 vectors over {0, 1/2, 1} exactly (stored doubled as an int8 numpy table),
-with the edges each one covers, under a vertex cap. The minimum covers
-and the subgraph census of ``exponents`` are read off that table. All
-reported values and witnesses are exact rationals.
+under a vertex cap. The minimum covers and the subgraph census of
+``exponents`` are read off that table. All reported values and witnesses
+are exact rationals.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ HALF = Fraction(1, 2)
 
 @lru_cache(maxsize=16)
 def _ternary_table(m: int) -> np.ndarray:
-    """All vectors in {0,1,2}^m as rows, lexicographic order, int8."""
+    """All vectors in {0,1,2}^m as rows, lexicographic order, int8, stored
+    column by column: each column is contiguous, and so is the m x 3^m
+    transpose."""
     idx = np.arange(3 ** m, dtype=np.int64)
-    out = np.empty((3 ** m, m), dtype=np.int8)
+    out = np.empty((m, 3 ** m), dtype=np.int8)
     for j in range(m):
-        out[:, j] = (idx // 3 ** (m - 1 - j)) % 3
-    return out
+        out[j] = (idx // 3 ** (m - 1 - j)) % 3
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -135,21 +137,12 @@ def _halved(g: Graph, mate: dict[int, int]) -> EdgeWeightVector:
 # Vertex covers
 # ---------------------------------------------------------------------------
 
-def cover_table(g: Graph, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every half-integral vertex weighting of g, with what it covers.
-
-    Returns (rows of doubled weights over ``g.vertices``, in lexicographic
-    order; a rows-by-edges bool array marking the sorted edges each row
-    covers; the doubled row totals).
-    """
+def cover_rows(g: Graph, cap: int) -> np.ndarray:
+    """The half-integral vertex weightings of g, doubled, as the rows of
+    ``_ternary_table`` over ``g.vertices``; ``cap`` bounds the vertices."""
     if g.n_vertices > cap:
         raise CapExceededError(f"{g.n_vertices} vertices exceeds cover cap {cap}")
-    rows = _ternary_table(g.n_vertices)
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    covered = np.empty((len(rows), g.n_edges), dtype=bool)
-    for j, (u, w) in enumerate(g.sorted_edges()):
-        np.greater_equal(rows[:, index[u]] + rows[:, index[w]], 2, out=covered[:, j])
-    return rows, covered, rows.sum(axis=1, dtype=np.int16)
+    return _ternary_table(g.n_vertices)
 
 
 def frac_vertex_cover_number(g: Graph, cap: int = DEFAULT_COVER_CAP) -> tuple[Fraction, HalfIntCover]:
@@ -177,8 +170,12 @@ def cover_number(g: Graph) -> Fraction:
 def minimum_covers(g: Graph, cap: int = DEFAULT_COVER_CAP) -> list[HalfIntCover]:
     """All half-integral minimum covers (the vertices of the optimal face),
     in the lexicographic order of the cover table."""
-    rows, covered, totals = cover_table(g, cap)
-    feasible = covered.all(axis=1)
+    rows = cover_rows(g, cap)
+    index = {vid: i for i, vid in enumerate(g.vertices)}
+    feasible = np.ones(len(rows), dtype=bool)
+    for u, w in g.edges:
+        feasible &= rows[:, index[u]] + rows[:, index[w]] >= 2
+    totals = rows.sum(axis=1, dtype=np.int16)
     best = totals[feasible].min()
     return [HalfIntCover({v: Fraction(int(x), 2) for v, x in zip(g.vertices, r)},
                          Fraction(int(best), 2))

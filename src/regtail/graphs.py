@@ -226,6 +226,25 @@ def two_core(g: Graph) -> Graph:
     return g.subgraph((u, v) for u, v in g.edges if u in alive and v in alive)
 
 
+def components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the components, breadth first from the least vertex."""
+    nbr = g.neighbors()
+    seen: set[int] = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for v in comp:
+            for u in sorted(nbr[v]):
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        comps.append(comp)
+    return comps
+
+
 def is_forest(g: Graph) -> bool:
     return two_core(g).is_empty
 

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import BudgetExhaustedError, CapExceededError, PreconditionError
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, components
 from .graphons import BlockGraphon, hom_density
 
 HOM_VERTEX_CAP = 6
@@ -278,24 +278,6 @@ class HomPlan:
     components: tuple[tuple[tuple, tuple], ...]  # (branch, leaves) per component
 
 
-def _components(g: Graph) -> list[list[int]]:
-    nbr = g.neighbors()
-    seen: set[int] = set()
-    comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        for v in comp:
-            for u in sorted(nbr[v]):
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-        comps.append(comp)
-    return comps
-
-
 def _branch_order(branch: list[int], nbr: dict[int, set[int]]) -> list[int]:
     """Greedy order: next is the vertex with the most placed neighbors,
     then the most neighbors in the branch."""
@@ -323,7 +305,7 @@ def hom_plan(pattern: Graph, n: int, p: float) -> HomPlan:
         raise CapExceededError(f"pattern has more than {HOM_VERTEX_CAP} vertices")
     nbr = pattern.neighbors()
     plans = []
-    for comp in _components(pattern):
+    for comp in components(pattern):
         best = None
         for mask in range(1, 1 << len(comp)):
             leaves = [v for i, v in enumerate(comp) if mask >> i & 1]
@@ -526,7 +508,6 @@ class PStarSpec:
     boundaries: list[int]      # cumulative vertex-class boundaries, len k+1
     values: np.ndarray
     mask: np.ndarray           # boolean (k, k); only non-dominant pairs
-    a_counts: np.ndarray       # rounded target pair counts per block
 
     @classmethod
     def from_graphon(cls, w: BlockGraphon, n: int, p: float,
@@ -535,8 +516,7 @@ class PStarSpec:
         cum = np.concatenate([[0.0], np.cumsum(w.sizes)])
         boundaries = [int(math.floor(n * c + 1e-9)) for c in cum]
         boundaries[-1] = n
-        sizes_n = np.diff(boundaries)
-        if np.any(sizes_n <= 0):
+        if np.any(np.diff(boundaries) <= 0):
             raise PreconditionError("a vertex class came out empty; n too small")
         if mask is None:
             dom = w.dominant_block()
@@ -544,15 +524,7 @@ class PStarSpec:
             for i in range(k):
                 for j in range(k):
                     mask[i, j] = i != dom and j != dom and abs(w.values[i, j] - p) > 1e-12 * p
-        a = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    pairs = sizes_n[i] * (sizes_n[i] - 1) // 2
-                    a[i, i] = 2 * int(math.floor(w.values[i, i] * pairs + 0.5))
-                else:
-                    a[i, j] = int(math.floor(w.values[i, j] * sizes_n[i] * sizes_n[j] + 0.5))
-        return cls(n, p, boundaries, w.values.copy(), np.asarray(mask, bool), a)
+        return cls(n, p, boundaries, w.values.copy(), np.asarray(mask, bool))
 
 
 def _bernoulli_positions(rng: np.random.Generator, q: float, total: int) -> np.ndarray:
@@ -605,42 +577,17 @@ def _sample_blocks(n: int, boundaries: list[int], probs: np.ndarray,
     return adj
 
 
-def sample_pstar(spec: PStarSpec, seed, conditioned: bool = False,
-                 budget: int = 10000) -> SimGraph:
-    """Sample the tilted model; optionally reject until every masked block
-    hits its rounded pair count exactly.
+def sample_pstar(spec: PStarSpec, seed) -> SimGraph:
+    """Sample the tilted model.
 
     W* is constant on each block pair (``spec.values`` on masked pairs,
     ``spec.p`` elsewhere), so each block pair draws only its edges, as
-    cumulative geometric gaps between them: the cost of an attempt is
+    cumulative geometric gaps between them: the cost of a sample is
     proportional to the number of edges, not to n^2.
     """
     rng = np.random.default_rng(seed)
-    probs = np.where(spec.mask, spec.values, spec.p)
-    b = spec.boundaries
-    k = len(b) - 1
-    for attempt in range(1, budget + 1):
-        adj = _sample_blocks(spec.n, b, probs, rng)
-        if not conditioned:
-            break
-        ok = True
-        for i in range(k):
-            for j in range(i, k):
-                if not spec.mask[i, j]:
-                    continue
-                block = adj[b[i]:b[i + 1], b[j]:b[j + 1]]
-                count = int(block.sum()) if i != j else int(np.triu(block, 1).sum()) * 2
-                if count != spec.a_counts[i, j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            break
-    else:
-        raise BudgetExhaustedError(f"no conditioned sample in {budget} attempts")
-    return SimGraph.from_bool_matrix(adj, {"sampler": "pstar", "seed": seed,
-                                           "conditioned": conditioned})
+    adj = _sample_blocks(spec.n, spec.boundaries, np.where(spec.mask, spec.values, spec.p), rng)
+    return SimGraph.from_bool_matrix(adj, {"sampler": "pstar", "seed": seed})
 
 
 def sample_gnp(n: int, p: float, seed) -> SimGraph:

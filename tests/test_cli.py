@@ -72,9 +72,6 @@ RATE_ARGS = ("--delta", "1", "--n", "1e6", "--p", "1e-3")
 
 
 def test_rate_honours_caps(capsys):
-    code, _, err = run_cli(capsys, "rate", "--family", "complete-bipartite:2,3",
-                           *RATE_ARGS, "--caps", "edges=5")
-    assert code == 3 and "subset cap 5" in err
     code, _, err = run_cli(capsys, "rate", "--family", "k0", *RATE_ARGS,
                            "--caps", "cover=5")
     assert code == 3 and "cover cap 5" in err
@@ -83,7 +80,7 @@ def test_rate_honours_caps(capsys):
                 "complete-bipartite:2,3": ("rho-exact", "1/2", 1.0, 218442.402006354)}
     for family, (kind, gamma_value, constant, rate) in expected.items():
         reports = []
-        for caps in ((), ("--caps", "edges=21,cover=12")):
+        for caps in ((), ("--caps", "cover=12")):
             code, out, _ = run_cli(capsys, "rate", "--family", family, *RATE_ARGS, *caps)
             assert code == 0
             reports.append(json.loads(out)["rate_report"])
@@ -95,11 +92,22 @@ def test_rate_honours_caps(capsys):
 
 
 def test_rate_k7(capsys):
-    # 21 edges: the census reads all 2^21 subsets from one 3^7 cover table.
+    # 21 edges: the census reads the 3^7 rows of one cover table.
     code, out, _ = run_cli(capsys, "rate", "--family", "complete:7", *RATE_ARGS)
     assert code == 0
     report = json.loads(out)["rate_report"]
     assert (report["classification"], report["gamma"]) == ("rho-exact", "4")
+
+
+@pytest.mark.parametrize("family, gamma_value", [
+    ("complete:9", "6"), ("complete-bipartite:5,5", "3")])
+def test_rate_beyond_the_old_edge_cap(capsys, family, gamma_value):
+    # 36 and 25 edges: no edge count bounds the census, only the 12
+    # vertices of the cover table.
+    code, out, _ = run_cli(capsys, "rate", "--family", family, *RATE_ARGS)
+    assert code == 0
+    report = json.loads(out)["rate_report"]
+    assert (report["classification"], report["gamma"]) == ("rho-exact", gamma_value)
 
 
 def test_cover_cap_bounds_the_scanned_two_core(capsys, tmp_path):
@@ -122,11 +130,11 @@ def test_cover_cap_bounds_the_scanned_two_core(capsys, tmp_path):
 
 
 def test_matching_cap_is_gone(capsys):
-    # Bad edges and cover numbers come from matchings, so no cap bounds the
-    # edges of a matching solve any more.
-    code, _, err = run_cli(capsys, "rate", "--family", "k0", *RATE_ARGS,
-                           "--caps", "matching=13")
-    assert code == 2 and "bad cap 'matching=13'; use edges=/cover=" in err
+    # Bad edges and cover numbers come from matchings, and the census reads
+    # cover rows, so no cap bounds the edges of a matching solve or a scan.
+    for cap in ("matching=13", "edges=21"):
+        code, _, err = run_cli(capsys, "rate", "--family", "k0", *RATE_ARGS, "--caps", cap)
+        assert code == 2 and f"bad cap '{cap}'; use cover=" in err
 
 
 K6_MINUS_EDGE = "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6)
@@ -307,8 +315,8 @@ def test_exit_code_config_error(capsys):
 
 
 def test_exit_code_cap_exceeded(capsys):
-    code, _, err = run_cli(capsys, "invariants", "--family", "complete:8")
-    assert code == 3 and "cap" in err
+    code, _, err = run_cli(capsys, "invariants", "--family", "complete:13")
+    assert code == 3 and "13 vertices exceeds cover cap 12" in err
 
 
 def test_exit_code_infeasible(capsys):
@@ -324,3 +332,32 @@ def test_output_file(capsys, tmp_path):
     assert code == 0 and out == ""
     blob = json.loads(out_path.read_text())
     assert blob["gamma"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--family", "complete-bipartite:2,3", "--delta", "nan"),
+    ("rate", "--family", "cycle:5", "--delta", "nan", "--n", "1e6", "--p", "1e-3"),
+    ("rate", "--family", "complete-bipartite:2,3", "--delta", "inf", "--n", "1e6", "--p", "1e-3"),
+    ("rate", "--family", "cycle:5", "--delta", "1", "--n", "inf", "--p", "1e-3"),
+], ids=["invariants-delta-nan", "rate-delta-nan", "rate-delta-inf", "rate-n-inf"])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_unreadable_inputs_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli(capsys, "invariants", "--file", missing)
+    assert code == 2 and out == "" and f"cannot read {missing}" in err
+    code, out, err = run_cli(capsys, "check-conditions", "--family", "complete-bipartite:2,3",
+                             "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
+                             "--n", "1e4", "--p", "1e-2", "--thresholds-file", missing)
+    assert code == 2 and out == "" and f"cannot read {missing}" in err
+
+
+def test_bad_p_grid_exits_2(capsys):
+    code, out, err = run_cli(capsys, "construct", "--family", "complete-bipartite:2,3",
+                             "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
+                             "--p-grid", "1e-3,")
+    assert code == 2 and out == "" and "bad --p-grid '1e-3,'" in err

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from regtail.exponents import (HalfExpPolynomial, classify_and_rate,
                                contributing_subgraphs, cycle_constant, gamma,
                                k0_variational_min, p_polynomial, rho,
                                subgraph_census)
-from regtail.fractional import cover_number, minimum_covers, valid_subsets
+from regtail.fractional import cover_number, cover_rows, minimum_covers, valid_subsets
 from regtail.graphs import (Graph, butterfly, complete_bipartite,
                             complete_graph, cycle_graph, cycle_union, k0_graph,
                             two_core)
@@ -116,9 +117,63 @@ def census_oracle(g):
     return best, best_h, forest, contributing, valid, coeffs
 
 
-def assert_census_matches_oracle(g):
+def superset_census_oracle(g):
+    """The census by superset minima over the 2^e edge bitmasks of the
+    2-core (of g itself when g is a forest): one cover table gives every
+    subset's cover number at once. Same return value as ``census_oracle``;
+    it reaches 21 edges, where one Graph per mask does not.
+    """
+    core = two_core(g)
+    forest = core.is_empty
+    s = g if forest else core
+    es, e, v = s.sorted_edges(), s.n_edges, s.n_vertices
+    assert e <= 21, f"{e} edges is too many for the 2^e scan"
+    rows = cover_rows(s, 12)
+    index = {vid: i for i, vid in enumerate(s.vertices)}
+    covered = np.stack([rows[:, index[a]] + rows[:, index[b]] >= 2 for a, b in es], axis=1)
+    totals = rows.sum(axis=1, dtype=np.int16)
+    row_masks = covered @ (1 << np.arange(e, dtype=np.int64))
+    c2 = np.full(1 << e, 2 * v, dtype=np.int32)  # doubled cover numbers
+    np.minimum.at(c2, row_masks, totals)
+    for i in range(e):
+        pairs = c2.reshape(-1, 2, 1 << i)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    masks = np.arange(1 << e, dtype=np.int64)
+    excess = np.bitwise_count(masks).astype(np.int32)  # e(H) - v(H)
+    own_core = np.ones(1 << e, dtype=bool)  # no vertex of degree 1
+    for x in s.vertices:
+        deg = np.bitwise_count(masks & sum(1 << i for i, ends in enumerate(es) if x in ends))
+        excess -= deg > 0
+        own_core &= deg != 1
+    pool = masks[1:] if forest else np.flatnonzero(own_core[1:]) + 1
+    # gamma is the largest 2(e - v)/c2 over the distinct pairs, each keyed
+    # by one integer (-v <= e - v and 0 <= c2 <= 2v).
+    seen = np.bincount((excess[pool] + v) * (2 * v + 1) + c2[pool])
+    best = max(Fraction(2 * (k // (2 * v + 1) - v), k % (2 * v + 1))
+               for k in np.flatnonzero(seen).tolist())
+    attains = 2 * best.denominator * excess == best.numerator * c2
+
+    def edges_of(m):
+        return [es[i] for i in range(e) if m >> i & 1]
+
+    order = sorted(np.flatnonzero(own_core & attains).tolist(),
+                   key=lambda m: (m.bit_count(), edges_of(m)))
+    witness = int(np.flatnonzero(attains[1:])[0]) + 1 if forest else order[1]
+    valid, coeffs = [], {}
+    for m in order:
+        minimal = rows[((row_masks & m) == m) & (totals == c2[m])]
+        valid.append(list(dict.fromkeys(
+            frozenset(s.vertices[i] for i in np.flatnonzero(r == 2)) for r in minimal)))
+        for a in valid[-1]:
+            key = (len(a), int(c2[m]) - 2 * len(a))
+            coeffs[key] = coeffs.get(key, 0) + 1
+    return (best, s.subgraph(edges_of(witness)), forest,
+            [s.subgraph(edges_of(m)) for m in order], valid, coeffs)
+
+
+def assert_census_matches_oracle(g, oracle=census_oracle):
     census = subgraph_census(g)
-    value, witness, forest, contributing, valid, coeffs = census_oracle(g)
+    value, witness, forest, contributing, valid, coeffs = oracle(g)
     assert (census.gamma.value, census.gamma.forest) == (value, forest)
     assert census.gamma.witness.edges == witness.edges
     assert [h.edges for h in census.contributing] == [h.edges for h in contributing]
@@ -161,15 +216,62 @@ def test_census_matches_oracle_on_random_graphs(edges, anchors):
     assert_census_matches_oracle(Graph(edges))
 
 
-def test_census_edge_cap():
-    # The cap bounds the scanned graph: the 2-core, or a forest itself.
-    with pytest.raises(CapExceededError, match="20 edges exceeds subset cap 16"):
-        subgraph_census(complete_bipartite(4, 5), cap=16)
-    path = Graph([(i, i + 1) for i in range(5)])
-    with pytest.raises(CapExceededError, match="5 edges exceeds subset cap 4"):
-        subgraph_census(path, cap=4)
+def petersen():
+    return Graph([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def circular_ladder(k):
+    return Graph([(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+                 + [(i, k + i) for i in range(k)])
+
+
+K6_MINUS_EDGE = Graph([e for e in complete_graph(6).edges if e != (4, 5)])
+
+
+@pytest.mark.parametrize("g", [
+    K6_MINUS_EDGE, complete_graph(7), complete_bipartite(3, 4), complete_bipartite(4, 4),
+    Graph([(u, v) for u in range(6) for v in range(u + 1, 6)
+           if (u, v) not in ((0, 1), (2, 3))]),
+    petersen(), cycle_graph(12), circular_ladder(6),
+    # A minimum cover of a contributing subgraph leaves the edge 2-7 between
+    # two of its vertices uncovered (weights 0 and 1/2).
+    Graph([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
+           (2, 7)] + [(u, v) for u in range(6, 11) for v in range(u + 1, 11)]),
+], ids=["K6-e", "K7", "K34", "K44", "K1122", "petersen", "C12", "CL6", "uncovered-edge"])
+def test_census_matches_superset_oracle(g):
+    assert_census_matches_oracle(g, superset_census_oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(PAIRS_ON_8), min_size=11, max_size=21),
+       st.lists(st.integers(0, 10), max_size=3))
+def test_census_matches_superset_oracle_on_dense_graphs(edges, anchors):
+    edges = list(edges)
+    for i, a in enumerate(anchors):
+        vertices = sorted({x for e in edges for x in e})
+        edges.append((vertices[a % len(vertices)], 8 + i))
+    assert_census_matches_oracle(Graph(edges), superset_census_oracle)
+
+
+def test_census_cover_cap_only():
+    # The cover cap bounds the 2-core: K4 plus a disjoint C9 has 13 core
+    # vertices. A forest needs no table, and pendant trees never enter one.
+    k4c9 = Graph(list(complete_graph(4).edges) + list(cycle_union([4, 9]).edges))
+    with pytest.raises(CapExceededError, match="13 vertices exceeds cover cap 12"):
+        subgraph_census(k4c9)
+    path = Graph([(i, i + 1) for i in range(12)])
+    result = gamma(path)
+    assert (result.value, result.forest) == (Fraction(-1, 6), True)
     pendant_path = Graph(list(complete_graph(4).edges) + [(3, 4), (4, 5), (5, 6)])
-    assert subgraph_census(pendant_path, cap=6).gamma.value == 1
+    assert subgraph_census(pendant_path, cover_cap=4).gamma.value == 1
+
+
+def test_census_reaches_dense_patterns():
+    # Beyond the old 21-edge scan: K9 (36 edges), K55 (25) and K12 (66).
+    assert gamma(complete_graph(9)).value == 6
+    assert gamma(complete_bipartite(5, 5)).value == 3
+    assert gamma(complete_graph(12)).value == 9
 
 
 def test_gamma_pinned(k23, k0, triangle):

@@ -428,15 +428,6 @@ def test_pstar_block_densities_three_sigma():
         assert abs(totals[idx] - mean) <= 3 * sigma
 
 
-def test_pstar_conditioned_counts():
-    w = BlockGraphon.create([0.25, 0.75], [[0.4, 0.1], [0.1, 0.06]], clamp_tol=1.0)
-    spec = PStarSpec.from_graphon(w, 16, 0.1)
-    g = sample_pstar(spec, 5, conditioned=True, budget=20000)
-    b = spec.boundaries[1]
-    count = sum(1 for u in range(b) for v in range(u + 1, b) if g.has_edge(u, v))
-    assert 2 * count == spec.a_counts[0, 0]
-
-
 def test_tail_estimate_threshold_zero():
     est = tail_estimate(cycle_graph(3), 12, 3, -1.0, 30, 0)
     assert est.estimate == 1.0 and est.hits == 30
