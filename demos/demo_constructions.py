@@ -8,14 +8,14 @@ same for the hub-plus-raised-density construction that is optimal for K0.
 
 import math
 
-from regtail import (build_w0, build_w1, hom_density, ip_total, p_polynomial,
-                     regularity_residual)
+from regtail import (build_w0, build_w1, hom_density, ip_total,
+                     regularity_residual, subgraph_census)
 from regtail.graphs import complete_bipartite, k0_graph
 
 if __name__ == "__main__":
     k23 = complete_bipartite(2, 3)
     z, w = 1.0, 0.0
-    target = p_polynomial(k23)(z, w)
+    target = subgraph_census(k23).polynomial(z, w)
     print(f"hub-and-clique for K_{{2,3}} (z={z}, w={w}; Hom target {target}):")
     print(f"{'p':>8} {'Hom/p^6':>12} {'entropy ratio':>14} {'row residual':>13}")
     for p in (1e-2, 1e-3, 1e-4, 1e-5):

@@ -4,8 +4,9 @@ Computes the subgraph exponent gamma, the contributing subgraphs, the
 two-variable counting polynomial P(z, w), its constrained minimum rho, the
 cycle-union constant, the special K0 variational rate, and dispatches the
 applicable rate formula at a given (delta, n, p). gamma, the contributing
-subgraphs and P come from a SubgraphCensus: each row of one half-integral
-cover table of the 2-core names a subgraph; forests take a closed form.
+subgraphs and P are the fields of one ``subgraph_census``: each row of one
+half-integral cover table of the 2-core names a subgraph; forests take a
+closed form. ``rho`` takes the census's P.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import PreconditionError
-from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_number, cover_rows
-from .graphs import Edge, Graph, components, cycle_union_core, two_core
+from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_rows
+from .graphs import Edge, Graph, cycle_union_core, two_core
 from .graphons import ip_scalar
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -58,10 +59,6 @@ class HalfExpPolynomial:
 
     def has_pure_w_terms(self) -> bool:
         return any(a == 0 and b2 > 0 for a, b2 in self.coeffs)
-
-    def min_nonconstant_degree(self) -> Optional[Fraction]:
-        degs = [Fraction(2 * a + b2, 2) for (a, b2) in self.coeffs if (a, b2) != (0, 0)]
-        return min(degs) if degs else None
 
     def render(self) -> str:
         def mono(a: int, b2: int) -> str:
@@ -116,7 +113,8 @@ class SubgraphCensus:
     """The invariants of a pattern that come from its subgraphs.
 
     ``contributing`` are the subgraphs of minimum degree >= 2 attaining
-    gamma, the empty one included, sorted by edge count and then edge list;
+    gamma, the empty one included (it gives P its constant term), sorted
+    by edge count and then edge list;
     ``valid`` lists the valid subsets of each in the order the minimum
     covers first carry them. ``polynomial`` is P(z, w).
     """
@@ -143,19 +141,55 @@ def _forest_gamma(g: Graph) -> GammaResult:
     attained exactly when every tree has matching number nu. From the
     highest edge down, an edge is dropped when the edges left still hold
     such trees containing every kept edge (or one such tree if none is).
+    An edge is kept only when its tree is the last such tree and both of
+    its halves fall below nu; then no other such tree can arise, and a half
+    missing a kept edge lies in one of those halves. So an edge is kept
+    exactly when no such tree would be left; dropping it splits only its
+    own tree, so each step solves just the two halves.
     """
-    def trees(edges) -> list[tuple[set[int], Fraction]]:
-        h = Graph(edges)
-        return [(c, cover_number(h.subgraph(e for e in h.edges if e[0] in c)))
-                for c in map(set, components(h))]
+    adj = g.neighbors()
 
-    nu = max(n for _, n in trees(g.edges))
-    es, kept = g.sorted_edges(), []
-    for i in reversed(range(len(es))):
-        tops = [t for t, n in trees(es[:i] + kept) if n == nu]
-        if not tops or any(all(u not in t for t in tops) for u, _ in kept):
-            kept.append(es[i])
-    return GammaResult(-1 / nu, g.subgraph(kept), True)
+    def half(root: int, away: Optional[int]) -> tuple[list[int], int]:
+        """Vertices and matching number of the tree of ``root`` without its
+        edge to ``away`` (greedy from the leaves up: maximum on a tree)."""
+        parent, order = {root: away}, [root]
+        for x in order:
+            for y in adj[x] - {parent[x]}:
+                parent[y] = x
+                order.append(y)
+        free, matched = set(order), 0
+        for x in reversed(order[1:]):
+            if x in free and parent[x] in free:
+                free -= {x, parent[x]}
+                matched += 1
+        return order, matched
+
+    tree: dict[int, int] = {}  # vertex -> the first vertex of its tree
+    size: dict[int, int] = {}  # tree -> its matching number
+
+    def settle(order: list[int], matched: int) -> None:
+        tree.update(dict.fromkeys(order, order[0]))
+        size[order[0]] = matched
+
+    for v in g.vertices:
+        if v not in tree:
+            settle(*half(v, None))
+    nu = max(size.values())
+    tops = sum(s == nu for s in size.values())
+    kept = []
+    for a, b in reversed(g.sorted_edges()):
+        halves = half(a, b), half(b, a)
+        left = tops - (size[tree[a]] == nu) + sum(s == nu for _, s in halves)
+        if left:
+            adj[a].discard(b)
+            adj[b].discard(a)
+            del size[tree[a]]
+            for h in halves:
+                settle(*h)
+            tops = left
+        else:
+            kept.append((a, b))
+    return GammaResult(Fraction(-1, nu), g.subgraph(kept), True)
 
 
 def subgraph_census(g: Graph, cover_cap: int = DEFAULT_COVER_CAP) -> SubgraphCensus:
@@ -236,22 +270,16 @@ def subgraph_census(g: Graph, cover_cap: int = DEFAULT_COVER_CAP) -> SubgraphCen
                           contributing, valid, HalfExpPolynomial(coeffs))
 
 
+# Kept as spans the benchmark times; library code reads the census fields.
 def gamma(g: Graph) -> GammaResult:
-    """Exact max of (e(H) - v(H)) / c(H) over nonempty subgraphs H."""
     return subgraph_census(g).gamma
 
 
 def contributing_subgraphs(g: Graph) -> list[Graph]:
-    """Subgraphs of min degree >= 2 attaining e - v = c * gamma, plus empty.
-
-    The empty graph counts by convention (vacuous degree condition, cover
-    number 0); it supplies the counting polynomial's constant term.
-    """
     return subgraph_census(g).contributing
 
 
 def p_polynomial(g: Graph) -> HalfExpPolynomial:
-    """Generating polynomial over contributing subgraphs and valid subsets."""
     return subgraph_census(g).polynomial
 
 
@@ -307,8 +335,7 @@ def _grid_golden_min(f: Callable[[float], float], grid: list[float], atol: float
     return (grid[i], values[i]) if values[i] < fx else (x, fx)
 
 
-def rho(poly_or_graph: Union[HalfExpPolynomial, Graph], delta: float,
-        tol: float = 1e-10) -> float:
+def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
     """min of z + w/2 over z, w >= 0 with P(z, w) >= 1 + delta; inf if P == 1.
 
     P has positive coefficients, so it is coordinatewise increasing and the
@@ -318,7 +345,6 @@ def rho(poly_or_graph: Union[HalfExpPolynomial, Graph], delta: float,
     """
     if not 0 < delta < math.inf:
         raise PreconditionError("delta must be positive and finite")
-    poly = poly_or_graph if isinstance(poly_or_graph, HalfExpPolynomial) else p_polynomial(poly_or_graph)
     if poly.is_constant:
         return math.inf
     target = 1.0 + delta

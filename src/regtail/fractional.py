@@ -183,7 +183,7 @@ def minimum_covers(g: Graph, cap: int = DEFAULT_COVER_CAP) -> list[HalfIntCover]
 
 
 def valid_subsets(g: Graph, cap: int = DEFAULT_COVER_CAP) -> frozenset[frozenset[int]]:
-    """Vertex sets carried with weight 1 by some half-integral minimum cover."""
+    # Kept because the benchmark times it as a per-layer span.
     return frozenset(c.ones() for c in minimum_covers(g, cap))
 
 
@@ -221,7 +221,7 @@ def bad_edges(g: Graph) -> frozenset[Edge]:
 
 
 # ---------------------------------------------------------------------------
-# Matching <-> edge cover conversions
+# Matching -> edge cover conversion
 # ---------------------------------------------------------------------------
 
 def matching_to_cover(g: Graph, matching: EdgeWeightVector) -> EdgeWeightVector:
@@ -251,41 +251,6 @@ def matching_to_cover(g: Graph, matching: EdgeWeightVector) -> EdgeWeightVector:
     if total != g.n_vertices - c:
         raise PreconditionError("conversion produced a non-minimum cover")
     return cover
-
-
-def cover_to_matching(g: Graph, cover: EdgeWeightVector) -> EdgeWeightVector:
-    """Scale a minimum edge cover down to a maximum matching.
-
-    At every oversaturated vertex the incident weights are divided by their
-    sum; edges between two oversaturated vertices carry weight 0 in any
-    minimum cover, so no edge is rescaled twice.
-    """
-    cover.validate()
-    c = cover_number(g)
-    if cover.total != g.n_vertices - c:
-        raise PreconditionError(
-            f"cover total {cover.total} is not minimum (v-c={g.n_vertices - c})")
-    sums = cover.vertex_sums()
-    over = {v for v, s in sums.items() if s > 1}
-    new = {}
-    for e, w in cover.weights.items():
-        u, v = e
-        if u in over and v in over:
-            if w != 0:
-                raise PreconditionError("positive weight between oversaturated vertices")
-            new[e] = w
-        elif u in over:
-            new[e] = w / sums[u]
-        elif v in over:
-            new[e] = w / sums[v]
-        else:
-            new[e] = w
-    total = sum(new.values(), Fraction(0))
-    matching = EdgeWeightVector("matching", new, total)
-    matching.validate()
-    if total != c:
-        raise PreconditionError("conversion produced a non-maximum matching")
-    return matching
 
 
 def strict_weight_pair(g: Graph) -> tuple[EdgeWeightVector, EdgeWeightVector]:

@@ -7,7 +7,6 @@ logarithms are used throughout, so absolute entropies are in nats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -153,25 +152,6 @@ def hom_kernel(k_graph: Graph, sizes: np.ndarray, kernel: np.ndarray) -> float:
                            [np.asarray(sizes, float)] * k_graph.n_vertices))
 
 
-def hom_block(k_graph: Graph, w: BlockGraphon, assignment: dict[int, int]) -> float:
-    """Contribution of one vertex->block assignment to Hom(K, W)."""
-    total = 1.0
-    for v in k_graph.vertices:
-        total *= float(w.sizes[assignment[v]])
-    for u, v in k_graph.edges:
-        total *= float(w.values[assignment[u], assignment[v]])
-    return total
-
-
-def iter_assignments(k_graph: Graph, k: int, cap: int = DEFAULT_BLOCK_TERM_CAP):
-    """All vertex->block assignments (the K-blocks of a k-part graphon)."""
-    n = k_graph.n_vertices
-    if k ** max(n, 1) > cap:
-        raise CapExceededError("block assignment count exceeds cap")
-    for combo in itertools.product(range(k), repeat=n):
-        yield dict(zip(k_graph.vertices, combo))
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -265,33 +245,6 @@ def build_w1(d1: float, d2: float, p: float) -> BlockGraphon:
 
 
 # ---------------------------------------------------------------------------
-# Subgraph expansion of Hom(K, W) around the constant p
-# ---------------------------------------------------------------------------
-
-def subgraph_expansion(k_graph: Graph, w: BlockGraphon, p: float,
-                       rel_tol: float = 1e-9) -> list[tuple[tuple, float]]:
-    """Terms p^{e(K)-e(H)} Hom(H, W - p) over all edge subsets H.
-
-    The terms are returned per subset and their sum is verified against
-    Hom(K, W) computed directly; a mismatch beyond rel_tol raises.
-    """
-    u = w.values - p
-    es = k_graph.sorted_edges()
-    rows = []
-    total = 0.0
-    for mask in range(1 << len(es)):
-        h = k_graph.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)
-        hom_u = hom_kernel(h, w.sizes, u)
-        rows.append((tuple(h.sorted_edges()), hom_u))
-        total += p ** (k_graph.n_edges - h.n_edges) * hom_u
-    direct = hom_density(k_graph, w)
-    if abs(total - direct) > rel_tol * max(1.0, abs(direct)):
-        raise PreconditionError(
-            f"expansion identity residual {abs(total - direct)!r} exceeds tolerance")
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # The ten finite-n conditions
 # ---------------------------------------------------------------------------
 
@@ -325,9 +278,6 @@ class ConditionReport:
     results: list[ConditionResult]
     block_classes: dict[tuple[int, int], str]
     dominant: int
-
-    def passed_numbers(self) -> list[int]:
-        return [r.number for r in self.results if r.passed]
 
     def to_jsonable(self) -> dict:
         return {"dominant_block": self.dominant,
@@ -439,36 +389,43 @@ def check_conditions(w: BlockGraphon, k_graph: Graph, n: float, p: float,
                                    detail="" if verdict6 is not None else
                                    "needs p < exp(-e) for the triple log"))
 
-    somewhat = {ij for ij, c in classes.items() if c == "somewhat-important"}
-    unimportant = {ij for ij, c in classes.items() if c == "unimportant"}
-    negligible_cut = thr.negligible_fraction * p ** e_k
-    ok7 = True
+    labels = np.array([[classes[i, j] for j in range(w.k)] for i in range(w.k)])
+    somewhat = labels == "somewhat-important"
+    # The term of every vertex->block assignment in Hom(K, W), one axis per
+    # pattern vertex. Each is multiplied in a fixed order, vertex sizes in
+    # ``vertices`` order and then edge values in ``edges`` order, so it is
+    # the same float as the product of those factors in a scalar loop.
+    block = dict(zip(k_graph.vertices, np.ix_(*[np.arange(w.k)] * k_graph.n_vertices)))
+    terms = np.ones((w.k,) * k_graph.n_vertices)
+    for v in k_graph.vertices:
+        terms *= w.sizes[block[v]]
+    for u, v in k_graph.edges:
+        terms *= w.values[block[u], block[v]]
+    live = terms >= thr.negligible_fraction * p ** e_k
+    # Condition 7: no live assignment puts a vertex on two somewhat-important edges.
+    ok7 = not any(np.any(live & (sum(somewhat[block[a], block[b]] for a, b in k_graph.edges
+                                     if v in (a, b)) >= 2))
+                  for v in k_graph.vertices)
+    # Condition 8 reads the unimportant block pairs that a live assignment
+    # puts an edge on.
+    reached = np.zeros((w.k, w.k), dtype=bool)
+    for u, v in k_graph.edges:
+        reached |= live.any(axis=tuple(i for i, x in enumerate(k_graph.vertices) if x not in (u, v)))
+    reached &= labels == "unimportant"
     ok8 = True
     worst8_area = math.inf
     worst8_value = 0.0
-    for assignment in iter_assignments(k_graph, w.k, cap):
-        contribution = hom_block(k_graph, w, assignment)
-        if contribution < negligible_cut:
-            continue
-        si_edges = [e for e in k_graph.edges
-                    if (assignment[e[0]], assignment[e[1]]) in somewhat]
-        touched = [v for e in si_edges for v in e]
-        if len(touched) != len(set(touched)):
-            ok7 = False
-        for (u, v) in k_graph.edges:
-            ij = (assignment[u], assignment[v])
-            if ij in unimportant:
-                i, j = ij
-                area_ratio = (math.inf if ent == 0.0
-                              else float(w.sizes[i] * w.sizes[j]) * p / ent)
-                worst8_area = min(worst8_area, area_ratio)
-                dev = abs(float(w.values[i, j]) / p - 1.0)
-                worst8_value = max(worst8_value, dev)
-                if area_ratio < 1.0 - thr.area_slack or dev > thr.near_p_rtol:
-                    ok8 = False
+    for i, j in zip(*np.nonzero(reached)):
+        area_ratio = (math.inf if ent == 0.0
+                      else float(w.sizes[i] * w.sizes[j]) * p / ent)
+        worst8_area = min(worst8_area, area_ratio)
+        dev = abs(float(w.values[i, j]) / p - 1.0)
+        worst8_value = max(worst8_value, dev)
+        if area_ratio < 1.0 - thr.area_slack or dev > thr.near_p_rtol:
+            ok8 = False
     results.append(ConditionResult(7, _CONDITION_NAMES[7], {}, ok7,
                                    threshold=f"non-negligible cut {thr.negligible_fraction} * p^e",
-                                   detail=f"{len(somewhat)} somewhat-important block pair(s)"))
+                                   detail=f"{int(somewhat.sum())} somewhat-important block pair(s)"))
     results.append(ConditionResult(8, _CONDITION_NAMES[8],
                                    {"min_area_p_over_entropy": worst8_area,
                                     "max_rel_dev_from_p": worst8_value}, ok8,

@@ -291,33 +291,3 @@ def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8,
                              "rhs": float(rhs[j]), "bundle": block.row(j).to_jsonable()})
     return {"graph": g.name or repr(g), "instances": n_instances, "seed": seed,
             "violations": violations, "worst_margin": worst, "failures": failures}
-
-
-# ---------------------------------------------------------------------------
-# The regular-kernel moment bound
-# ---------------------------------------------------------------------------
-
-def simple_bound_check(g: Graph, u_kernel: np.ndarray, p: float, eps: float) -> VerifyResult:
-    """Check Hom(H, |U|) <= ((2+eps) p)^{v-2c} E(|U|)^c for U = W - p.
-
-    The kernel U must be symmetric with W = U + p having row integrals in
-    [(1-eps) p, (1+eps) p]; violations of that precondition are a refusal,
-    not a test failure.
-    """
-    u = np.asarray(u_kernel, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.array_equal(u, u.T):
-        raise PreconditionError("U must be a symmetric square grid")
-    r = u.shape[0]
-    rows = (u + p).sum(axis=1) / r
-    if np.any(rows < (1.0 - eps) * p - 1e-15) or np.any(rows > (1.0 + eps) * p + 1e-15):
-        raise PreconditionError("row sums of U + p leave [(1-eps)p, (1+eps)p]")
-    if g.n_vertices > MAX_VERTICES or r > MAX_RESOLUTION:
-        raise CapExceededError("grid too large for the moment bound check")
-    inst = HolderInstance(g, {v: (0.0, 1.0) for v in g.vertices},
-                          {e: np.abs(u) for e in g.sorted_edges()}, r)
-    lhs = lhs_integral(inst)
-    c = float(cover_number(g))
-    mean_abs = float(np.abs(u).mean())
-    rhs = ((2.0 + eps) * p) ** (g.n_vertices - 2.0 * c) * mean_abs ** c
-    margin = rhs - lhs
-    return VerifyResult(lhs, rhs, margin, margin >= -1e-9 * max(1.0, abs(rhs)))

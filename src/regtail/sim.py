@@ -64,9 +64,6 @@ class SimGraph:
         rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
         return cls(dense.shape[0], rows, provenance or {}, dense)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
@@ -202,10 +199,10 @@ def default_reject_budget(d: int) -> int:
     outright and the repair path (plus the swap walk) takes over.
     """
     lam = (d - 1) / 2.0
-    expected = math.exp(lam + lam * lam)
-    if expected > 2500.0:
+    log_expected = lam + lam * lam  # exp of it overflows a float from d = 54 on
+    if log_expected > math.log(2500.0):
         return 0
-    return int(min(2000, max(50, 20.0 * expected)))
+    return int(min(2000, max(50, 20.0 * math.exp(log_expected))))
 
 
 def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
@@ -630,7 +627,7 @@ class TailEstimate:
 
 
 def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
-                  seed: int, **sampler_kwargs) -> TailEstimate:
+                  seed: int) -> TailEstimate:
     """Frequency of Hom(K, sample) >= (1+delta) p^e n^v over regular samples.
 
     Per-trial RNG streams are keyed by (seed, trial), so the result does not
@@ -643,7 +640,7 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
     plan = hom_plan(pattern, n, p)
     hits = 0
     for t in range(trials):
-        g = sample_regular(n, d, [seed, t], **sampler_kwargs)
+        g = sample_regular(n, d, [seed, t])
         if hom_count(pattern, g, plan) >= threshold:
             hits += 1
     return TailEstimate(trials, hits, hits / trials,

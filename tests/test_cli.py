@@ -273,6 +273,13 @@ def test_simulate_cli_needs_a_trial(capsys, count):
     assert "trial" in err
 
 
+def test_simulate_cli_high_degree(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--family", "cycle:3", "--n", "64", "--d", "54",
+                           "--delta", "0.5", "--trials", "1", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["tail_estimate"]["trials"] == 1
+
+
 def test_simulate_cli_with_dump(capsys, tmp_path):
     dump = tmp_path / "sample.el"
     code, out, _ = run_cli(capsys, "simulate", "--family", "cycle:3", "--n", "12",

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from regtail.exponents import (HalfExpPolynomial, classify_and_rate,
                                contributing_subgraphs, cycle_constant, gamma,
                                k0_variational_min, p_polynomial, rho,
                                subgraph_census)
-from regtail.fractional import cover_number, cover_rows, minimum_covers, valid_subsets
+from regtail.fractional import cover_number, cover_rows, minimum_covers
 from regtail.graphs import (Graph, butterfly, complete_bipartite,
                             complete_graph, cycle_graph, cycle_union, k0_graph,
                             two_core)
@@ -261,60 +262,72 @@ def test_census_cover_cap_only():
     with pytest.raises(CapExceededError, match="13 vertices exceeds cover cap 12"):
         subgraph_census(k4c9)
     path = Graph([(i, i + 1) for i in range(12)])
-    result = gamma(path)
+    result = subgraph_census(path).gamma
     assert (result.value, result.forest) == (Fraction(-1, 6), True)
     pendant_path = Graph(list(complete_graph(4).edges) + [(3, 4), (4, 5), (5, 6)])
     assert subgraph_census(pendant_path, cover_cap=4).gamma.value == 1
 
 
+def test_forest_gamma_on_a_long_path():
+    # Each step solves only the tree that holds its edge: 0.26 s on a 2-core
+    # x86-64 host, against 9.9 s when every step re-solved every tree. The
+    # limit sits far above the first and still well below the second.
+    path = Graph([(i, i + 1) for i in range(600)])
+    t0 = time.perf_counter()
+    result = subgraph_census(path).gamma
+    assert time.perf_counter() - t0 < 5.0
+    assert (result.value, result.forest) == (Fraction(-1, 300), True)
+    assert result.witness.edges == frozenset((i, i + 1) for i in range(599))
+
+
 def test_census_reaches_dense_patterns():
     # Beyond the old 21-edge scan: K9 (36 edges), K55 (25) and K12 (66).
-    assert gamma(complete_graph(9)).value == 6
-    assert gamma(complete_bipartite(5, 5)).value == 3
-    assert gamma(complete_graph(12)).value == 9
+    assert subgraph_census(complete_graph(9)).gamma.value == 6
+    assert subgraph_census(complete_bipartite(5, 5)).gamma.value == 3
+    assert subgraph_census(complete_graph(12)).gamma.value == 9
 
 
 def test_gamma_pinned(k23, k0, triangle):
-    assert gamma(k23).value == Fraction(1, 2)
-    assert gamma(k0).value == 1
-    assert gamma(triangle).value == 0
-    assert gamma(complete_graph(5)).value == 2
+    assert subgraph_census(k23).gamma.value == Fraction(1, 2)
+    assert subgraph_census(k0).gamma.value == 1
+    assert subgraph_census(triangle).gamma.value == 0
+    assert subgraph_census(complete_graph(5)).gamma.value == 2
 
 
 def test_gamma_witness_min_degree(k0):
-    result = gamma(k0)
+    result = subgraph_census(k0).gamma
     assert not result.forest
     assert min(result.witness.degrees().values()) >= 2
 
 
 def test_gamma_forest_flag():
-    result = gamma(Graph([(0, 1), (1, 2)]))
+    result = subgraph_census(Graph([(0, 1), (1, 2)])).gamma
     assert result.forest and result.value < 0
 
 
 def test_gamma_monotone_under_subgraphs(k0):
     es = k0.sorted_edges()
-    whole = gamma(k0).value
+    whole = subgraph_census(k0).gamma.value
     for mask in (0b111, 0b10111, 0b111111111, 0b101010101):
         h = k0.subgraph(es[i] for i in range(9) if mask >> i & 1)
         if not h.is_empty:
-            assert gamma(h).value <= whole
+            assert subgraph_census(h).gamma.value <= whole
 
 
 def test_contributing_pinned(k23, k24, k0, triangle):
-    subs = contributing_subgraphs(k0)
+    subs = subgraph_census(k0).contributing
     assert [h.n_edges for h in subs] == [0, 8, 9]
     assert subs[1].edges == k24.edges and subs[2].edges == k0.edges
-    assert [h.n_edges for h in contributing_subgraphs(k23)] == [0, 6]
-    assert [h.n_edges for h in contributing_subgraphs(triangle)] == [0, 3]
+    assert [h.n_edges for h in subgraph_census(k23).contributing] == [0, 6]
+    assert [h.n_edges for h in subgraph_census(triangle).contributing] == [0, 3]
 
 
 def test_p_polynomial_pinned(k23, k0, triangle):
-    assert p_polynomial(k23).coeffs == {(0, 0): 1, (2, 0): 1}
-    assert p_polynomial(k23).render() == "1 + z^2"
-    assert p_polynomial(k0).coeffs == {(0, 0): 1, (2, 0): 1, (2, 2): 1, (3, 0): 2, (0, 6): 1}
-    assert p_polynomial(triangle).coeffs == {(0, 0): 1, (0, 3): 1}
-    assert "w^{3/2}" in p_polynomial(triangle).render()
+    assert subgraph_census(k23).polynomial.coeffs == {(0, 0): 1, (2, 0): 1}
+    assert subgraph_census(k23).polynomial.render() == "1 + z^2"
+    assert subgraph_census(k0).polynomial.coeffs == {(0, 0): 1, (2, 0): 1, (2, 2): 1, (3, 0): 2, (0, 6): 1}
+    assert subgraph_census(triangle).polynomial.coeffs == {(0, 0): 1, (0, 3): 1}
+    assert "w^{3/2}" in subgraph_census(triangle).polynomial.render()
 
 
 def test_p_polynomial_against_valid_subset_oracle(k0):
@@ -322,21 +335,21 @@ def test_p_polynomial_against_valid_subset_oracle(k0):
     # contributing subgraph.
     from regtail.fractional import cover_number
     expected = {(0, 0): 1}
-    for h in contributing_subgraphs(k0):
+    for h in subgraph_census(k0).contributing:
         if h.is_empty:
             continue
         c2 = int(2 * cover_number(h))
-        for a in valid_subsets(h):
+        for a in frozenset(cov.ones() for cov in minimum_covers(h)):
             key = (len(a), c2 - 2 * len(a))
             expected[key] = expected.get(key, 0) + 1
-    assert p_polynomial(k0).coeffs == expected
+    assert subgraph_census(k0).polynomial.coeffs == expected
 
 
 def test_p_polynomial_constant_term_is_one():
     for g in small_corpus():
         from regtail.graphs import is_forest
         if not is_forest(g):
-            assert p_polynomial(g).coeffs[(0, 0)] == 1
+            assert subgraph_census(g).polynomial.coeffs[(0, 0)] == 1
 
 
 def test_matching_weight_split_by_valid_subset(k0, k23):
@@ -345,11 +358,11 @@ def test_matching_weight_split_by_valid_subset(k0, k23):
     # avoiding A.
     from regtail.fractional import cover_number
     for g in (k0, k23):
-        for h in contributing_subgraphs(g):
+        for h in subgraph_census(g).contributing:
             if h.is_empty:
                 continue
             c = cover_number(h)
-            for a in valid_subsets(h):
+            for a in frozenset(cov.ones() for cov in minimum_covers(h)):
                 for m in enumerate_max_matchings(h):
                     in_one = sum(m.weights[e] for e in h.edges if len(set(e) & a) == 1)
                     in_zero = sum(m.weights[e] for e in h.edges if not set(e) & a)
@@ -358,17 +371,20 @@ def test_matching_weight_split_by_valid_subset(k0, k23):
 
 
 def test_rho_k23_closed_form(k23):
+    poly = subgraph_census(k23).polynomial
     for delta in (0.25, 1.0, 4.0):
-        assert abs(rho(k23, delta) - math.sqrt(delta)) < 1e-8
+        assert abs(rho(poly, delta) - math.sqrt(delta)) < 1e-8
 
 
 def test_rho_pure_w_closed_forms(triangle, k5):
     # P = 1 + w^{3/2}: w* = delta^{2/3}; P = 1 + w^{5/2}: w* = delta^{2/5}.
-    assert abs(rho(triangle, 1.0) - 0.5) < 1e-9
-    assert abs(rho(triangle, 8.0) - 2.0) < 1e-8  # w* = 8^{2/3} = 4
-    assert abs(rho(triangle, 0.125) - 0.125 ** (2 / 3) / 2) < 1e-9
-    assert abs(rho(k5, 1.0) - 0.5) < 1e-9
-    assert abs(rho(k5, 2.0) - 2.0 ** 0.4 / 2) < 1e-9
+    p3 = subgraph_census(triangle).polynomial
+    p5 = subgraph_census(k5).polynomial
+    assert abs(rho(p3, 1.0) - 0.5) < 1e-9
+    assert abs(rho(p3, 8.0) - 2.0) < 1e-8  # w* = 8^{2/3} = 4
+    assert abs(rho(p3, 0.125) - 0.125 ** (2 / 3) / 2) < 1e-9
+    assert abs(rho(p5, 1.0) - 0.5) < 1e-9
+    assert abs(rho(p5, 2.0) - 2.0 ** 0.4 / 2) < 1e-9
 
 
 def test_rho_constant_is_infinite():
@@ -377,11 +393,11 @@ def test_rho_constant_is_infinite():
 
 def test_rho_matches_grid_oracle(k0, k5):
     for g, delta in ((k0, 0.5), (k5, 1.0), (k5, 3.0)):
-        poly = p_polynomial(g)
+        poly = subgraph_census(g).polynomial
         assert abs(rho(poly, delta) - rho_grid_oracle(poly, delta)) < 1e-5
     # At delta = 1 the boundary point (z, w) = (0, 1) is exact and both
     # routes agree to full precision.
-    poly = p_polynomial(k0)
+    poly = subgraph_census(k0).polynomial
     assert abs(rho(poly, 1.0) - rho_grid_oracle(poly, 1.0)) < 1e-6
     assert abs(rho(poly, 1.0) - 0.5) < 1e-10
 
@@ -397,8 +413,8 @@ def test_rho_scaling_sandwich():
     # P((1+eps) z, (1+eps) w) - 1 >= (1+eps)^k (P(z,w) - 1) for the minimal
     # nonconstant degree k, hence rho(K, (1+eps)^k delta) <= (1+eps) rho.
     for g in (complete_bipartite(2, 3), k0_graph(), cycle_graph(3)):
-        poly = p_polynomial(g)
-        k = float(poly.min_nonconstant_degree())
+        poly = subgraph_census(g).polynomial
+        k = float(min(Fraction(2 * a + b2, 2) for a, b2 in poly.coeffs if (a, b2) != (0, 0)))
         for eps in (0.1, 0.01):
             for delta in (0.5, 1.0, 2.0):
                 lhs = rho(poly, (1 + eps) ** k * delta)

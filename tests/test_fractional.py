@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from regtail.errors import CapExceededError, PreconditionError
 from regtail.fractional import (EdgeWeightVector, bad_edges, cover_number,
-                                cover_to_matching, frac_vertex_cover_number,
-                                matching_to_cover, max_frac_matching,
-                                min_frac_edge_cover, strict_weight_pair,
-                                valid_subsets, weight_pair)
+                                frac_vertex_cover_number, matching_to_cover,
+                                max_frac_matching, min_frac_edge_cover,
+                                strict_weight_pair, valid_subsets, weight_pair)
 from regtail.graphs import (Graph, butterfly, complete_bipartite, complete_graph,
                             cycle_graph, k0_graph)
 from conftest import edge_subsets_oracle, small_corpus
@@ -132,31 +131,6 @@ def test_matching_to_cover_rejects_non_maximum(k23):
     submax = EdgeWeightVector("matching", {e: Fraction(0) for e in k23.edges}, Fraction(0))
     with pytest.raises(PreconditionError):
         matching_to_cover(k23, submax)
-
-
-def test_cover_to_matching_p3():
-    g = Graph([(0, 1), (1, 2)])
-    cover = EdgeWeightVector("edge-cover", {(0, 1): Fraction(1), (1, 2): Fraction(1)},
-                             Fraction(2))
-    matching = cover_to_matching(g, cover)
-    assert matching.total == 1  # = c(P3); both weights scaled by the center sum
-    assert matching.weights == {(0, 1): H, (1, 2): H}
-
-
-def test_cover_to_matching_rejects_non_minimum(triangle):
-    big = EdgeWeightVector("edge-cover", {e: Fraction(1) for e in triangle.edges}, Fraction(3))
-    with pytest.raises(PreconditionError):
-        cover_to_matching(triangle, big)
-
-
-def test_conversion_round_trip(k23):
-    weights = {e: Fraction(0) for e in k23.edges}
-    weights[(0, 2)] = weights[(1, 3)] = Fraction(1)
-    matching = EdgeWeightVector("matching", weights, Fraction(2))
-    cover = matching_to_cover(k23, matching)
-    back = cover_to_matching(k23, cover)
-    assert back.total == 2
-    assert all(back.weights[e] <= cover.weights[e] for e in k23.edges)
 
 
 def test_conversion_domination_on_corpus():

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from regtail.errors import InfeasibleConstructionError, PreconditionError
-from regtail.exponents import gamma, p_polynomial
-from regtail.graphons import (BlockGraphon, ConditionThresholds, _contract, build_w0,
-                              build_w1, check_conditions, classify_blocks,
-                              hom_block, hom_density, ip_scalar, ip_total,
-                              iter_assignments, regularity_residual,
-                              subgraph_expansion, w1_mid_value)
-from regtail.graphs import Graph, complete_bipartite, cycle_graph, k0_graph
+from regtail.errors import (CapExceededError, InfeasibleConstructionError,
+                            PreconditionError)
+from regtail.exponents import subgraph_census
+from regtail.graphons import (BlockGraphon, ConditionThresholds, _contract,
+                              build_w0, build_w1, check_conditions,
+                              classify_blocks, hom_density, hom_kernel,
+                              ip_scalar, ip_total, regularity_residual,
+                              w1_mid_value)
+from regtail.graphs import (Graph, butterfly, complete_bipartite, cycle_graph,
+                            k0_graph)
 
 
 def quadrature_hom_oracle(k_graph, w, refine=3):
@@ -36,6 +38,71 @@ def quadrature_hom_oracle(k_graph, w, refine=3):
             term *= w.values[block_of(xs[assign[u]]), block_of(xs[assign[v]])]
         total += term
     return total
+
+
+def hom_block(k_graph, w, assignment):
+    """Contribution of one vertex->block assignment to Hom(K, W)."""
+    total = 1.0
+    for v in k_graph.vertices:
+        total *= float(w.sizes[assignment[v]])
+    for u, v in k_graph.edges:
+        total *= float(w.values[assignment[u], assignment[v]])
+    return total
+
+
+def iter_assignments(k_graph, k):
+    """All vertex->block assignments (the K-blocks of a k-part graphon)."""
+    for combo in itertools.product(range(k), repeat=k_graph.n_vertices):
+        yield dict(zip(k_graph.vertices, combo))
+
+
+def subgraph_expansion(k_graph, w, p, rel_tol=1e-9):
+    """Terms p^{e(K)-e(H)} Hom(H, W - p) over all edge subsets H.
+
+    The terms are returned per subset and their sum is verified against
+    Hom(K, W) computed directly; a mismatch beyond rel_tol raises.
+    """
+    u = w.values - p
+    es = k_graph.sorted_edges()
+    rows = []
+    total = 0.0
+    for mask in range(1 << len(es)):
+        h = k_graph.subgraph(es[i] for i in range(len(es)) if mask >> i & 1)
+        hom_u = hom_kernel(h, w.sizes, u)
+        rows.append((tuple(h.sorted_edges()), hom_u))
+        total += p ** (k_graph.n_edges - h.n_edges) * hom_u
+    direct = hom_density(k_graph, w)
+    if abs(total - direct) > rel_tol * max(1.0, abs(direct)):
+        raise PreconditionError(
+            f"expansion identity residual {abs(total - direct)!r} exceeds tolerance")
+    return rows
+
+
+def conditions_7_8_oracle(w, k_graph, p, thr):
+    """(ok7, ok8, worst area ratio, worst deviation) of conditions 7 and 8,
+    by a loop over every vertex->block assignment."""
+    ent = ip_total(w, p)
+    classes, _ = classify_blocks(w, p, thr, ent)
+    somewhat = {ij for ij, c in classes.items() if c == "somewhat-important"}
+    unimportant = {ij for ij, c in classes.items() if c == "unimportant"}
+    ok7 = ok8 = True
+    worst_area, worst_dev = math.inf, 0.0
+    for assignment in iter_assignments(k_graph, w.k):
+        if hom_block(k_graph, w, assignment) < thr.negligible_fraction * p ** k_graph.n_edges:
+            continue
+        touched = [v for e in k_graph.edges
+                   if (assignment[e[0]], assignment[e[1]]) in somewhat for v in e]
+        if len(touched) != len(set(touched)):
+            ok7 = False
+        for u, v in k_graph.edges:
+            i, j = assignment[u], assignment[v]
+            if (i, j) in unimportant:
+                area = math.inf if ent == 0.0 else float(w.sizes[i] * w.sizes[j]) * p / ent
+                dev = abs(float(w.values[i, j]) / p - 1.0)
+                worst_area, worst_dev = min(worst_area, area), max(worst_dev, dev)
+                if area < 1.0 - thr.area_slack or dev > thr.near_p_rtol:
+                    ok8 = False
+    return ok7, ok8, worst_area, worst_dev
 
 
 def two_block(p=0.3):
@@ -154,7 +221,7 @@ def test_build_w1_domain():
 def test_build_w0_hom_trend_k23():
     # Hom/p^e decreases toward 1 + P(z, w) as p shrinks.
     k23 = complete_bipartite(2, 3)
-    poly = p_polynomial(k23)
+    poly = subgraph_census(k23).polynomial
     target = poly(1.0, 0.0)
     ratios = [hom_density(k23, build_w0(0.5, 1.0, 0.0, p)) / p ** 6
               for p in (1e-2, 1e-3, 1e-4)]
@@ -288,7 +355,7 @@ def test_conditions_w0_example():
     report = check_conditions(w, complete_bipartite(2, 3), 1e9, p)
     assert len(report.results) == 10
     assert sorted(r.number for r in report.results) == list(range(1, 11))
-    passed = set(report.passed_numbers())
+    passed = {r.number for r in report.results if r.passed}
     assert {1, 2, 3, 10} <= passed
     # hub pairs are very important, the leftover [0, p] strip stays at p
     assert report.block_classes[(0, 0)] == "very-important"
@@ -313,3 +380,41 @@ def test_conditions_indeterminate_above_exp_minus_e():
                                            [0.05 * 0.9 / 0.95, 0.1]], clamp_tol=1.0)
     report = check_conditions(w, cycle_graph(3), 1e6, p)
     assert {r.number: r for r in report.results}[6].passed is None
+
+
+K1122 = Graph([(u, v) for u in range(6) for v in range(u + 1, 6)
+               if {u, v} != {2, 3} and {u, v} != {4, 5}])
+
+
+def assert_conditions_7_8_match_loop(w, g, p, thr):
+    results = {r.number: r for r in check_conditions(w, g, 1e9, p, thr).results}
+    ok7, ok8, area, dev = conditions_7_8_oracle(w, g, p, thr)
+    assert (results[7].passed, results[8].passed) == (ok7, ok8), (g, p)
+    assert results[8].ratios == {"min_area_p_over_entropy": area, "max_rel_dev_from_p": dev}, (g, p)
+    return ok7, ok8
+
+
+def test_conditions_7_8_match_assignment_loop():
+    # Conditions 7 and 8 read off one k^v array of block terms must give the
+    # verdicts and ratios of the loop over assignments, bit for bit, on the
+    # W0 and W1 constructions for K23, K0, K1122 and the butterfly.
+    thr = ConditionThresholds()
+    verdicts = []
+    for g in (complete_bipartite(2, 3), k0_graph(), K1122, butterfly()):
+        gam = float(subgraph_census(g).gamma.value)
+        for p in (0.1, 1e-2, 1e-3, 1e-6):
+            for w in (build_w0(gam, 1.0, 0.0, p), build_w0(gam, 1.0, 0.5, p), build_w1(4.0, 1.0, p)):
+                verdicts.append(assert_conditions_7_8_match_loop(w, g, p, thr))
+    assert (len(verdicts), sum(not ok7 for ok7, _ in verdicts),
+            sum(not ok8 for _, ok8 in verdicts)) == (48, 3, 16)
+    # The grid's condition-7 failures put three or four somewhat-important
+    # edges on a vertex. With every assignment live, C4 on W1 puts two.
+    everything = ConditionThresholds(negligible_fraction=0.0)
+    w = build_w1(4.0, 1.0, 1e-3)
+    assert assert_conditions_7_8_match_loop(w, cycle_graph(4), 1e-3, everything) == (False, False)
+
+
+def test_conditions_respect_block_term_cap():
+    # K0 on W1 has 3^6 = 729 block assignments.
+    with pytest.raises(CapExceededError):
+        check_conditions(build_w1(4.0, 1.0, 1e-3), k0_graph(), 1e9, 1e-3, cap=100)

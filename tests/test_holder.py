@@ -7,10 +7,10 @@ import pytest
 
 import regtail.holder as holder
 from regtail.errors import PreconditionError
-from regtail.fractional import EdgeWeightVector, strict_weight_pair
+from regtail.fractional import EdgeWeightVector, cover_number, strict_weight_pair
 from regtail.graphs import Graph, butterfly, complete_bipartite, cycle_graph, k0_graph
-from regtail.holder import (HolderInstance, WeightPair, lhs_integral,
-                            random_instance, rhs_bound, simple_bound_check,
+from regtail.holder import (HolderInstance, VerifyResult, WeightPair,
+                            lhs_integral, random_instance, rhs_bound,
                             verify_batch, verify_instance)
 from regtail.graphons import build_w0
 
@@ -395,6 +395,30 @@ def test_weight_pair_validation():
     good_matching = EdgeWeightVector("matching", {e: H for e in g.edges}, Fraction(3, 2))
     with pytest.raises(PreconditionError):
         WeightPair(good_matching, bad_cover).validate(g)
+
+
+def simple_bound_check(g, u_kernel, p, eps):
+    """The regular-kernel moment bound: for U = W - p, with W a step kernel
+    whose row integrals lie in [(1-eps) p, (1+eps) p],
+
+        Hom(H, |U|) <= ((2+eps) p)^{v-2c} E(|U|)^c.
+
+    A U that breaks the row condition is refused with PreconditionError.
+    """
+    u = np.asarray(u_kernel, dtype=float)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.array_equal(u, u.T):
+        raise PreconditionError("U must be a symmetric square grid")
+    r = u.shape[0]
+    rows = (u + p).sum(axis=1) / r
+    if np.any(rows < (1.0 - eps) * p - 1e-15) or np.any(rows > (1.0 + eps) * p + 1e-15):
+        raise PreconditionError("row sums of U + p leave [(1-eps)p, (1+eps)p]")
+    inst = HolderInstance(g, {v: (0.0, 1.0) for v in g.vertices},
+                          {e: np.abs(u) for e in g.sorted_edges()}, r)
+    lhs = lhs_integral(inst)
+    c = float(cover_number(g))
+    rhs = ((2.0 + eps) * p) ** (g.n_vertices - 2.0 * c) * float(np.abs(u).mean()) ** c
+    margin = rhs - lhs
+    return VerifyResult(lhs, rhs, margin, margin >= -1e-9 * max(1.0, abs(rhs)))
 
 
 def test_simple_bound_zero_kernel():

@@ -10,10 +10,11 @@ from regtail.errors import BudgetExhaustedError, CapExceededError, PreconditionE
 from regtail.graphs import (Graph, complete_bipartite, complete_graph, cycle_graph,
                             k0_graph)
 from regtail.graphons import BlockGraphon, build_w0
-from regtail.sim import (PStarSpec, SimGraph, cycle_hom_oracle, hom_count,
-                         hom_counts_dense, hom_plan, planted_comparison,
-                         sample_gnp, sample_pstar, sample_regular,
-                         tail_estimate, wilson_interval)
+from regtail.sim import (PStarSpec, SimGraph, cycle_hom_oracle,
+                         default_reject_budget, hom_count, hom_counts_dense,
+                         hom_plan, planted_comparison, sample_gnp,
+                         sample_pstar, sample_regular, tail_estimate,
+                         wilson_interval)
 
 
 def test_k4_unique_sample():
@@ -73,6 +74,15 @@ def test_sampler_repair_path_regular():
     g = sample_regular(24, 6, 99)
     assert g.provenance["sampler"] == "pairing-repair"
     assert g.degrees() == [6] * 24
+
+
+def test_reject_budget_at_high_degree():
+    # exp(lam + lam^2), lam = (d - 1)/2, overflows a float from d = 54 on.
+    assert [default_reject_budget(d) for d in range(7)] == [50, 50, 50, 147, 850, 2000, 0]
+    assert [default_reject_budget(d) for d in (53, 54, 100, 10 ** 6)] == [0, 0, 0, 0]
+    g = sample_regular(64, 63, 5)
+    assert g.provenance["sampler"] == "pairing-repair"
+    assert g.degrees() == [63] * 64
 
 
 def test_exact_path_skips_the_swap_walk():
