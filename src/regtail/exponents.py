@@ -6,7 +6,11 @@ cycle-union constant, the special K0 variational rate, and dispatches the
 applicable rate formula at a given (delta, n, p). gamma, the contributing
 subgraphs and P are the fields of one ``subgraph_census``: each row of one
 half-integral cover table of the 2-core names a subgraph; forests take a
-closed form. ``rho`` takes the census's P.
+closed form. ``rho`` takes the census's P: it bisects z(w) on the boundary
+P = 1 + delta for a whole grid of w at once on numpy arrays, refines the
+best grid cell by a scalar golden-section search, and takes one bisection
+when P lacks w terms or z terms. The K0 minimum is the root of its
+first-order condition.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,15 +42,17 @@ class HalfExpPolynomial:
 
     def __init__(self, coeffs: dict[tuple[int, int], int]):
         self.coeffs = {(int(a), int(b2)): int(c) for (a, b2), c in coeffs.items() if c}
+        # (coef, z-exponent, w-exponent) per term, in ``coeffs`` order
+        self._terms = tuple((float(c), a, b2 / 2.0) for (a, b2), c in self.coeffs.items())
 
     def __call__(self, z: float, w: float) -> float:
         total = 0.0
-        for (a, b2), coef in self.coeffs.items():
-            term = float(coef)
+        for coef, a, b in self._terms:
+            term = coef
             if a:
                 term *= z ** a
-            if b2:
-                term *= w ** (b2 / 2.0)
+            if b:
+                term *= w ** b
             total += term
         return total
 
@@ -56,6 +62,9 @@ class HalfExpPolynomial:
 
     def has_z_terms(self) -> bool:
         return any(a > 0 for a, _ in self.coeffs)
+
+    def has_w_terms(self) -> bool:
+        return any(b2 > 0 for _, b2 in self.coeffs)
 
     def has_pure_w_terms(self) -> bool:
         return any(a == 0 and b2 > 0 for a, b2 in self.coeffs)
@@ -306,42 +315,77 @@ def _bisect_increasing(f, target: float, lo: float, hi: float, tol: float = 1e-1
     return hi
 
 
-def _grid_golden_min(f: Callable[[float], float], grid: list[float], atol: float,
-                     rtol: float = 0.0) -> tuple[float, float]:
-    """(x, f(x)) at the minimum of f, located on a grid and refined.
+def _z_roots(poly: HalfExpPolynomial, w: np.ndarray, target: float,
+             tol: float = 1e-13) -> np.ndarray:
+    """``_bisect_increasing(lambda z: poly(z, w_i), target, 0.0, 1.0, tol)``
+    for every w_i at once; inf where that bracket blows up.
 
-    Golden-section search runs on the two grid cells around the best grid
-    point until the bracket [a, b] is no longer than max(atol, rtol * b),
-    and the bracket's midpoint is kept unless that grid point is strictly
-    better.
+    Each row keeps its own bracket, doubling, stop rule and 200-step bound,
+    and retires when it stops. P is evaluated with the float operations of
+    ``HalfExpPolynomial.__call__`` in its term order, and its powers with
+    ``np.float_power``, which calls the same C ``pow`` as Python's ``**``
+    (``np.power`` may take a SIMD routine that rounds differently). So every
+    root equals the scalar bisection's, bit for bit.
     """
-    values = [f(x) for x in grid]
-    i = min(range(len(grid)), key=lambda j: values[j])
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > max(atol, rtol * b):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    fx = f(x)
-    return (grid[i], values[i]) if values[i] < fx else (x, fx)
+    out = np.zeros(len(w))
+    rows = np.arange(len(w))
+    z_exps = {a for _, a, _ in poly._terms if a}
+    w_pows = [np.float_power(w, b) if b else None for _, _, b in poly._terms]
+
+    def p_at(z: np.ndarray) -> np.ndarray:
+        z_pows = {a: np.float_power(z, a) for a in z_exps}
+        total = 0.0
+        for (coef, a, _), w_pow in zip(poly._terms, w_pows):
+            term = coef
+            if a:
+                term = term * z_pows[a]
+            if w_pow is not None:
+                term = term * w_pow
+            total = total + term
+        return total
+
+    def retire(done: np.ndarray, value) -> None:
+        nonlocal rows, lo, hi, w_pows
+        if not done.any():
+            return
+        out[rows[done]] = value[done] if isinstance(value, np.ndarray) else value
+        keep = ~done
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+        w_pows = [None if x is None else x[keep] for x in w_pows]
+
+    lo, hi = np.zeros(len(w)), np.ones(len(w))
+    with np.errstate(invalid="ignore"):  # 0 * inf at w = inf, as in the scalar P
+        retire(p_at(lo) >= target, 0.0)
+        while len(rows):
+            short = p_at(hi) < target
+            if not short.any():
+                break
+            lo, hi = np.where(short, hi, lo), np.where(short, hi * 2, hi)
+            retire(hi > 1e18, math.inf)  # every z-term carries a w factor and w == 0
+        for _ in range(200):
+            if not len(rows):
+                break
+            mid = (lo + hi) / 2
+            above = p_at(mid) >= target
+            hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+            retire(hi - lo <= tol * np.maximum(1.0, np.abs(hi)), hi)
+        out[rows] = hi
+    return out
 
 
 def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
     """min of z + w/2 over z, w >= 0 with P(z, w) >= 1 + delta; inf if P == 1.
 
     P has positive coefficients, so it is coordinatewise increasing and the
-    feasible boundary is the graph of a function z(w); a grid search over w
-    with per-point bisection in z, refined by golden section, finds the
-    global minimum of the boundary objective.
+    feasible boundary is the graph of a function z(w).
+    - Without w terms the optimum has w = 0, and without z terms z = 0:
+      one bisection each.
+    - Otherwise z(w) is bisected at 7 reference points, whose best objective
+      bounds the optimal w, and then on a 401-point grid below that bound,
+      every point at once on arrays (``_z_roots``).
+    - Golden-section search, scalar, refines the two grid cells around the
+      best grid point until the bracket is no longer than tol / 10; its
+      midpoint is kept unless that grid point is strictly better.
     """
     if not 0 < delta < math.inf:
         raise PreconditionError("delta must be positive and finite")
@@ -352,25 +396,43 @@ def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
     if not poly.has_z_terms():
         w_star = _bisect_increasing(lambda w: poly(0.0, w), target, 0.0, 1.0)
         return w_star / 2
+    if not poly.has_w_terms():
+        return _bisect_increasing(lambda z: poly(z, 0.0), target, 0.0, 1.0)
 
-    def z_of_w(w: float) -> float:
-        try:
-            return _bisect_increasing(lambda z: poly(z, w), target, 0.0, 1.0)
-        except PreconditionError:
-            return math.inf  # every z-term carries a w factor and w == 0
+    def objectives(ws: np.ndarray) -> np.ndarray:
+        return _z_roots(poly, ws, target) + ws / 2
 
     def objective(w: float) -> float:
-        return z_of_w(w) + w / 2
+        try:
+            z = _bisect_increasing(lambda z: poly(z, w), target, 0.0, 1.0)
+        except PreconditionError:
+            z = math.inf  # every z-term carries a w factor and w == 0
+        return z + w / 2
 
-    base = min(objective(w_ref) for w_ref in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0))
+    base = float(objectives(np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])).min())
     w_hi = 2.0 * base  # any optimum satisfies w <= 2 rho <= 2 * base
     if poly.has_pure_w_terms():
         w_hi = min(w_hi, _bisect_increasing(lambda w: poly(0.0, w), target, 0.0, 1.0))
     if w_hi <= 0:
         return base
 
-    _, value = _grid_golden_min(objective, [w_hi * i / 400 for i in range(401)], tol / 10)
-    return value
+    grid = w_hi * np.arange(401) / 400
+    values = objectives(grid)
+    i = int(np.argmin(values))
+    a, b = float(grid[max(0, i - 1)]), float(grid[min(400, i + 1)])
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol / 10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = objective(d)
+    fx = objective((a + b) / 2)
+    return float(values[i]) if values[i] < fx else fx
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +476,11 @@ def k0_variational_min(delta: float, p: float) -> tuple[float, float, float]:
 
     Uses the exact entropy function, not its asymptotic surrogate. The
     entropy term increases in c2, so the constraint is active and the
-    problem is one-dimensional in c1; a log grid plus golden-section
-    refinement locates the minimum. Returns (value, c1, c2).
+    problem is one-dimensional in c1. With x = p (1 + c2) and L = log(1/p),
+    the derivative in c1 vanishes where L c1^3 = delta log(x (1 - p) /
+    (p (1 - x))); the left side increases in c1 and the right side
+    decreases, so bisection finds the unique minimizer. Returns
+    (value, c1, c2).
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
@@ -423,20 +488,16 @@ def k0_variational_min(delta: float, p: float) -> tuple[float, float, float]:
         raise PreconditionError("need 0 < p < 1/e")
     log1p_ = math.log(1.0 / p)
 
-    def objective(c1: float) -> float:
+    def slope(c1: float) -> float:  # the derivative over 2 p^3 c1^-3
         c2 = delta / (c1 * c1)
-        x = p * (1.0 + c2)
-        if x >= 1.0:
-            return math.inf
-        return 2.0 * p ** 3 * log1p_ * c1 + p * p * ip_scalar(x, p)
+        return log1p_ * c1 ** 3 - delta * (math.log1p(c2) + math.log1p(-p)
+                                           - math.log1p(-p * (1.0 + c2)))
 
-    lo = math.sqrt(delta * p / (1.0 - p)) * (1.0 + 1e-9)
-    hi = max(1e3, 10.0 * delta)
-    n_grid = 3000
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    grid = [math.exp(log_lo + (log_hi - log_lo) * i / n_grid) for i in range(n_grid + 1)]
-    c1, value = _grid_golden_min(objective, grid, 1e-13, 1e-13)
-    return value, c1, delta / (c1 * c1)
+    lo = math.sqrt(delta * p / (1.0 - p)) * (1.0 + 1e-9)  # x < 1 from here on
+    c1 = _bisect_increasing(slope, 0.0, lo, max(1.0, 2.0 * lo), tol=1e-15)
+    c2 = delta / (c1 * c1)
+    value = 2.0 * p ** 3 * log1p_ * c1 + p * p * ip_scalar(p * (1.0 + c2), p)
+    return value, c1, c2
 
 
 def k0_rate_formula(delta: float, n: float, p: float) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -368,3 +370,72 @@ def test_bad_p_grid_exits_2(capsys):
                              "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
                              "--p-grid", "1e-3,")
     assert code == 2 and out == "" and "bad --p-grid '1e-3,'" in err
+
+
+# The benchmark's `invariants` workload: its 12 patterns, in the benchmark's
+# vertex labels, and its two commands.
+def _multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return [(u, v) for u in range(len(part)) for v in range(u + 1, len(part))
+            if part[u] != part[v]]
+
+
+def _cycle(k, base=0):
+    return [(base + i, base + (i + 1) % k) for i in range(k)]
+
+
+_K0 = _multipartite(2, 4) + [(2, 3)]
+CORPUS_EDGES = {
+    "tree5": [(0, 1), (1, 2), (1, 3), (3, 4)],
+    "C3+C4": _cycle(3) + _cycle(4, base=3),
+    "K4": _multipartite(1, 1, 1, 1),
+    "butterfly": _cycle(3) + [(0, 3), (0, 4), (3, 4)],
+    "K23": _multipartite(2, 3),
+    "K24": _multipartite(2, 4),
+    "K33": _multipartite(3, 3),
+    "K5": _multipartite(1, 1, 1, 1, 1),
+    "K34": _multipartite(3, 4),
+    "K1122": _multipartite(1, 1, 2, 2),
+    "K0": _K0,
+    "K0+C3": _K0 + _cycle(3, base=6),
+}
+CORPUS_COMMANDS = {"invariants": ["--delta", "1"],
+                   "rate": ["--delta", "1", "--n", "1e6", "--p", "1e-3"]}
+CORPUS_FIXTURE = Path(__file__).with_name("corpus_cli_outputs.json")
+
+
+def corpus_outputs():
+    """Each corpus command's JSON output, timestamp blanked, keyed
+    "<command> <pattern>". The edge files go to the working directory, so
+    the echoed configuration names them by a relative path."""
+    outputs = {}
+    for name, edges in CORPUS_EDGES.items():
+        path = Path(f"{name}.el")
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges), encoding="utf-8")
+        for command, flags in CORPUS_COMMANDS.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main([command, "--file", str(path), *flags])
+            if code != 0:
+                raise RuntimeError(f"{command} {name} exited {code}")
+            outputs[f"{command} {name}"] = strip_timestamp(buf.getvalue())
+    return outputs
+
+
+def test_corpus_output_is_byte_identical_to_fixture(tmp_path, monkeypatch):
+    # The fixture holds each output parsed; dumped back in the CLI's format,
+    # it gives the recorded bytes.
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(CORPUS_FIXTURE.read_text(encoding="utf-8"))
+    outputs = corpus_outputs()
+    assert list(outputs) == list(expected)
+    for key, text in outputs.items():
+        assert text == json.dumps(expected[key], indent=2, sort_keys=True) + "\n", key
+
+
+if __name__ == "__main__":
+    # Rewrites the fixture from the regtail on the path. Run it from an
+    # empty directory, with the commit whose output is the reference:
+    #   PYTHONPATH=<checkout>/src python3 <checkout>/tests/test_cli.py
+    fixture = {key: json.loads(text) for key, text in corpus_outputs().items()}
+    CORPUS_FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")

@@ -11,8 +11,9 @@ from regtail.errors import CapExceededError, PreconditionError
 from regtail.exponents import (HalfExpPolynomial, classify_and_rate,
                                contributing_subgraphs, cycle_constant, gamma,
                                k0_variational_min, p_polynomial, rho,
-                               subgraph_census)
+                               subgraph_census, _z_roots)
 from regtail.fractional import cover_number, cover_rows, minimum_covers
+from regtail.graphons import ip_scalar
 from regtail.graphs import (Graph, butterfly, complete_bipartite,
                             complete_graph, cycle_graph, cycle_union, k0_graph,
                             two_core)
@@ -79,6 +80,93 @@ def rho_grid_oracle(poly, delta, rounds=9, res=600):
         box = (max(0.0, float(zz[near].min()) - cell), float(zz[near].max()) + cell,
                max(0.0, float(ww[near].min()) - cell), float(ww[near].max()) + cell)
     return best
+
+
+def grid_golden_min(f, grid, atol, rtol=0.0):
+    """(x, f(x)) at the minimum of f over a grid, refined by golden section
+    on the two cells around the best grid point until the bracket [a, b] is
+    no longer than max(atol, rtol * b); the bracket's midpoint is kept
+    unless that grid point is strictly better."""
+    g = (math.sqrt(5) - 1) / 2
+    values = [f(x) for x in grid]
+    i = min(range(len(grid)), key=lambda j: values[j])
+    a = grid[max(0, i - 1)]
+    b = grid[min(len(grid) - 1, i + 1)]
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > max(atol, rtol * b):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    x = (a + b) / 2
+    fx = f(x)
+    return (grid[i], values[i]) if values[i] < fx else (x, fx)
+
+
+def p_scalar_oracle(poly, z, w):
+    """P(z, w) term by term from the coefficient map, in its order."""
+    total = 0.0
+    for (a, b2), coef in poly.coeffs.items():
+        term = float(coef)
+        if a:
+            term *= z ** a
+        if b2:
+            term *= w ** (b2 / 2.0)
+        total += term
+    return total
+
+
+def bisect_oracle(f, target, lo, hi, tol=1e-13):
+    """Smallest x with f(x) >= target for a continuous increasing f, by
+    doubling hi and then bisecting until hi - lo <= tol * max(1, |hi|)."""
+    if f(lo) >= target:
+        return lo
+    while f(hi) < target:
+        lo, hi = hi, hi * 2 if hi > 0 else 1.0
+        if hi > 1e18:
+            raise PreconditionError("bisection bracket blew up")
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if f(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= tol * max(1.0, abs(hi)):
+            break
+    return hi
+
+
+def rho_scalar_oracle(poly, delta, tol=1e-10):
+    """rho by one scalar bisection in z per w: at 7 reference points, whose
+    best objective bounds the optimal w, then on a 401-point grid below that
+    bound, refined by ``grid_golden_min``; pure-w P by one bisection in w.
+    ``rho`` must return exactly this value."""
+    if poly.is_constant:
+        return math.inf
+    target = 1.0 + delta
+    if not poly.has_z_terms():
+        return bisect_oracle(lambda w: p_scalar_oracle(poly, 0.0, w), target, 0.0, 1.0) / 2
+
+    def objective(w):
+        try:
+            z = bisect_oracle(lambda z: p_scalar_oracle(poly, z, w), target, 0.0, 1.0)
+        except PreconditionError:
+            z = math.inf
+        return z + w / 2
+
+    base = min(objective(w_ref) for w_ref in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0))
+    w_hi = 2.0 * base
+    if poly.has_pure_w_terms():
+        w_hi = min(w_hi, bisect_oracle(lambda w: p_scalar_oracle(poly, 0.0, w),
+                                       target, 0.0, 1.0))
+    if w_hi <= 0:
+        return base
+    return grid_golden_min(objective, [w_hi * i / 400 for i in range(401)], tol / 10)[1]
 
 
 def census_oracle(g):
@@ -402,6 +490,78 @@ def test_rho_matches_grid_oracle(k0, k5):
     assert abs(rho(poly, 1.0) - 0.5) < 1e-10
 
 
+BENCH_CORPUS_PATTERNS = {
+    "K4": complete_graph(4), "butterfly": butterfly(), "K23": complete_bipartite(2, 3),
+    "K24": complete_bipartite(2, 4), "K33": complete_bipartite(3, 3), "K5": complete_graph(5),
+    "K34": complete_bipartite(3, 4),
+    "K1122": Graph([(u, v) for u in range(6) for v in range(u + 1, 6)
+                    if {u, v} != {2, 3} and {u, v} != {4, 5}]),
+    "K0": k0_graph(), "K0+C3": Graph(list(k0_graph().edges) + [(10, 11), (11, 12), (12, 10)]),
+    "C3+C4": cycle_union([3, 4]),
+}
+RHO_DELTAS = (0.1, 0.5, 1.0, 3.0, 10.0)
+
+
+@pytest.mark.parametrize("poly", [
+    *(subgraph_census(g).polynomial for g in BENCH_CORPUS_PATTERNS.values()),
+    HalfExpPolynomial({(0, 0): 1, (2, 2): 1}),  # every z-term carries w: z(0) = inf
+    HalfExpPolynomial({(0, 0): 1, (1, 0): 2, (4, 0): 1}),  # no w terms: one bisection
+], ids=[*BENCH_CORPUS_PATTERNS, "1+z^2w", "1+2z+z^4"])
+def test_rho_equals_scalar_oracle(poly):
+    for delta in RHO_DELTAS:
+        assert rho(poly, delta) == rho_scalar_oracle(poly, delta)
+
+
+def random_polynomials(count, seed):
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(count):
+        coeffs = {(0, 0): 1}
+        while len(coeffs) < 1 + int(rng.integers(1, 5)):
+            a, b2 = int(rng.integers(0, 5)), int(rng.integers(0, 7))
+            coeffs[(a, b2)] = int(rng.integers(1, 5))
+        polys.append(HalfExpPolynomial(coeffs))
+    return polys
+
+
+def test_rho_equals_scalar_oracle_on_random_polynomials():
+    polys = random_polynomials(60, seed=2501)
+    # the draw covers every branch: no w terms, no z terms, and z-terms
+    # that all carry w
+    assert any(not p.has_w_terms() for p in polys)
+    assert any(not p.has_z_terms() for p in polys)
+    assert any(all(b2 for a, b2 in p.coeffs if a) and p.has_z_terms() for p in polys)
+    for poly in polys:
+        for delta in RHO_DELTAS:
+            assert rho(poly, delta) == rho_scalar_oracle(poly, delta), (poly, delta)
+
+
+def test_z_roots_bisect_like_the_scalar_loop_to_the_last_float():
+    # At tol = 0 every row runs to its 200-step bound, so its root is the
+    # last float where its P crosses the target: a P that rounds one term
+    # differently from the scalar loop shows here.
+    rng = np.random.default_rng(2504)
+    for poly in random_polynomials(20, seed=2505):
+        w = np.concatenate([[0.0], rng.exponential(2.0, size=49)])
+        target = 1.0 + float(rng.exponential(3.0))
+
+        def scalar_root(w_i):
+            try:
+                return bisect_oracle(lambda z: p_scalar_oracle(poly, z, w_i), target,
+                                     0.0, 1.0, tol=0.0)
+            except PreconditionError:
+                return math.inf
+
+        assert _z_roots(poly, w, target, tol=0.0).tolist() == [scalar_root(x) for x in w.tolist()]
+
+
+def test_polynomial_call_matches_term_loop():
+    rng = np.random.default_rng(2502)
+    for poly in random_polynomials(20, seed=2503):
+        for z, w in rng.exponential(2.0, size=(50, 2)).tolist() + [[0.0, 0.0], [3.0, 0.0]]:
+            assert poly(z, w) == p_scalar_oracle(poly, z, w)
+
+
 def test_rho_mixed_term_polynomial():
     # All z-terms carry w factors; the boundary only exists for w > 0.
     poly = HalfExpPolynomial({(0, 0): 1, (2, 2): 1})
@@ -500,6 +660,34 @@ def k0_foc_oracle(delta, p):
     x = p * (1.0 + c2)
     ip = x * math.log1p(c2) + (1.0 - x) * (math.log1p(-x) - math.log1p(-p))
     return 2.0 * p ** 3 * l * c1 + p * p * ip, c1
+
+
+def k0_grid_oracle(delta, p):
+    """Independent K0 variational minimum: the objective with the exact
+    entropy on a 3000-point log grid of c1, refined by ``grid_golden_min``.
+    Returns (value, c1)."""
+    l = math.log(1.0 / p)
+
+    def objective(c1):
+        x = p * (1.0 + delta / (c1 * c1))
+        return math.inf if x >= 1.0 else 2.0 * p ** 3 * l * c1 + p * p * ip_scalar(x, p)
+
+    lo = math.sqrt(delta * p / (1.0 - p)) * (1.0 + 1e-9)
+    log_lo, log_hi = math.log(lo), math.log(max(1e3, 10.0 * delta))
+    grid = [math.exp(log_lo + (log_hi - log_lo) * i / 3000) for i in range(3001)]
+    c1, value = grid_golden_min(objective, grid, 1e-13, 1e-13)
+    return value, c1
+
+
+def test_k0_variational_matches_grid_oracle():
+    for delta in (0.5, 1.0, 3.0):
+        for p in (1e-2, 1e-4, 1e-8):
+            value, c1, c2 = k0_variational_min(delta, p)
+            grid_value, grid_c1 = k0_grid_oracle(delta, p)
+            assert abs(value / grid_value - 1.0) <= 1e-12
+            assert abs(c1 / grid_c1 - 1.0) <= 1e-5
+            assert abs(c1 / k0_foc_oracle(delta, p)[1] - 1.0) <= 1e-13
+            assert c2 == delta / (c1 * c1)
 
 
 def test_k0_variational_closed_point():
