@@ -97,59 +97,120 @@ def ip_total(w: BlockGraphon, p: float) -> float:
 # Homomorphism densities
 # ---------------------------------------------------------------------------
 
-def _contract(k_graph: Graph, edge_ops: Sequence[np.ndarray],
-              vertex_ops: Sequence[np.ndarray] = ()) -> np.ndarray:
+def contraction_plan(k_graph: Graph, size: int) -> tuple:
+    """The steps contracting K's tensor network, one ``size`` x ``size``
+    matrix per edge in ``sorted_edges()`` order, for ``_contract``.
+
+    Each step ((j, i), preps, shapes) pops the terms at j and then i and
+    appends their contraction, one batched matmul: ``preps`` sum out the
+    indices no later term needs and order the axes as (shared kept, own
+    kept, contracted) for the first and (shared kept, contracted, own kept)
+    for the second (None: already in order), and ``shapes`` fuse those
+    groups and unfuse the product.
+
+    The path is greedy, as numpy's: among the pairs of terms that share an
+    index, contract the one that shrinks the terms most, then the one of
+    least work. It searches on vertex bitmasks and needs no memory limit:
+    on patterns up to 6 vertices its intermediates stay within size^4
+    entries, the square of an operand's; dense 7-vertex patterns (K7 among
+    them) reach size^5.
+    """
+    if k_graph.n_vertices > 26:
+        raise CapExceededError("pattern too large for block contraction")
+    index = {v: i for i, v in enumerate(k_graph.vertices)}
+    edges = k_graph.sorted_edges()
+    masks = [1 << index[u] | 1 << index[v] for u, v in edges]
+    subs = [chr(97 + index[u]) + chr(97 + index[v]) for u, v in edges]
+    power = [size ** k for k in range(k_graph.n_vertices + 1)]
+    steps = []
+    while len(masks) > 1:
+        once = twice = seen = 0  # the indices held by exactly one term, by exactly two, by any
+        for m in masks:
+            once, twice, seen = (once & ~m) | (m & ~seen), (twice & ~m) | (once & m), seen | m
+        sizes = [power[m.bit_count()] for m in masks]
+        best = None
+        for j, b in enumerate(masks):
+            for i in range(j):
+                a = masks[i]
+                out = (a | b) & ~((a & b & twice) | ((a ^ b) & once))
+                key = (not a & b, power[out.bit_count()] - sizes[i] - sizes[j], power[(a | b).bit_count()])
+                if best is None or key < best[0]:
+                    best = (key, j, i, out)
+        _, j, i, out = best
+        a, b = subs.pop(j), subs.pop(i)
+        masks.pop(j)
+        masks.pop(i)
+        kept = {chr(97 + k) for k in range(k_graph.n_vertices) if out >> k & 1}
+        shared = "".join(x for x in a if x in b and x in kept)
+        summed = "".join(x for x in a if x in b and x not in kept)
+        own_a = "".join(x for x in a if x not in b and x in kept)
+        own_b = "".join(x for x in b if x not in a and x in kept)
+        order_a, order_b = shared + own_a + summed, shared + summed + own_b
+        preps = tuple(None if s == order else f"...{s}->...{order}" for s, order in ((a, order_a), (b, order_b)))
+        n_shared, n_summed = power[len(shared)], power[len(summed)]
+        steps.append(((j, i), preps, ((n_shared, power[len(own_a)], n_summed),
+                                      (n_shared, n_summed, power[len(own_b)]),
+                                      (size,) * out.bit_count())))
+        masks.append(out)
+        subs.append(shared + own_a + own_b)
+    return tuple(steps)
+
+
+def _contract(k_graph: Graph, edge_ops: Sequence[np.ndarray], plan: Optional[tuple] = None) -> np.ndarray:
     """Contract the tensor network of K: one index per pattern vertex, one
-    matrix per edge in ``sorted_edges()`` order, and optionally one vector
-    per vertex in ``vertices`` order. The empty pattern gives 1.
+    matrix per edge in ``sorted_edges()`` order. The empty pattern gives 1.
 
     Operands may share leading batch axes (a stack of matrices per edge);
-    the result keeps them, and is a 0-d array without them. An instance's
-    result does not depend on the size of the stack it is in. For that the
-    path is searched once, on one instance's shapes, and every step keeps
-    the batch axes in front: a single optimized einsum call would sort them
-    among the instance axes by size. And since numpy's batched matmul drops
-    axes of length 1, which changes the arithmetic, a stack of one is
-    contracted as a stack of two equal instances.
+    the result keeps them, and is a 0-d array without them. ``plan``
+    defaults to ``contraction_plan`` for the operands' index size; pass one
+    to reuse it across stacks. An instance's result does not depend on the
+    size of the stack it is in: every step keeps one batch axis in front,
+    and unbatched operands are contracted as a stack of one.
     """
     if k_graph.is_empty:
         return np.float64(1.0)
-    letters = {v: chr(ord("a") + i) for i, v in enumerate(k_graph.vertices)}
-    if len(letters) > 26:
-        raise CapExceededError("pattern too large for block contraction")
-    subs = [letters[u] + letters[v] for u, v in k_graph.sorted_edges()]
-    if vertex_ops:
-        subs += [letters[v] for v in k_graph.vertices]
-    ops = [np.asarray(op) for op in (*edge_ops, *vertex_ops)]
-    single = all(op.shape[:op.ndim - len(s)] == (1,) for s, op in zip(subs, ops))
-    if single:
-        ops = [np.concatenate([op, op]) for op in ops]
-    one = [op[(0,) * (op.ndim - len(s))] for s, op in zip(subs, ops)]
-    path = np.einsum_path(",".join(subs) + "->", *one, optimize=True)[0]
-    terms = list(zip(subs, ops))
-    for step in path[1:]:
-        picked = [terms.pop(i) for i in sorted(step, reverse=True)]
-        kept = set("".join(s for s, _ in terms))
-        out = "".join(sorted(set("".join(s for s, _ in picked)) & kept))
-        spec = ",".join("..." + s for s, _ in picked) + "->..." + out
-        # Pairwise steps go through numpy's batched matmul, the rest through
-        # one plain einsum, as a single optimized einsum call would run them.
-        terms.append((out, np.einsum(spec, *(op for _, op in picked), optimize=len(picked) == 2)))
-    (_, value), = terms
-    return value[:1] if single else value
+    ops = [np.asarray(op) for op in edge_ops]
+    batch = ops[0].shape[:-2]
+    terms = [op.reshape((-1,) + op.shape[-2:]) for op in ops]
+    if plan is None:
+        plan = contraction_plan(k_graph, ops[0].shape[-1])
+    for picked, preps, (fused_a, fused_b, out) in plan:
+        a, b = (op if spec is None else np.einsum(spec, op)
+                for spec, op in zip(preps, [terms.pop(i) for i in picked]))
+        product = np.matmul(a.reshape((-1,) + fused_a), b.reshape((-1,) + fused_b))
+        terms.append(product.reshape((-1,) + out))
+    (value,) = terms
+    # Only a single-edge pattern is left with indices to sum.
+    return value.reshape(len(value), -1).sum(axis=1).reshape(batch)
+
+
+def _measured_edges(k_graph: Graph, sizes: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """One matrix per edge, with each vertex's block measure folded into the
+    first edge at it: the network of Hom(K, W) without vertex vectors."""
+    ops = []
+    seen: set[int] = set()
+    for u, v in k_graph.sorted_edges():
+        op = values
+        if u not in seen:
+            op = sizes[:, None] * op
+        if v not in seen:
+            op = op * sizes[None, :]
+        seen.update((u, v))
+        ops.append(op)
+    return ops
 
 
 def hom_density(k_graph: Graph, w: BlockGraphon, cap: int = DEFAULT_BLOCK_TERM_CAP) -> float:
     """Hom(K, W): integral over vertex placements of the edge-value product."""
     if w.k ** max(k_graph.n_vertices, 1) > cap:
         raise CapExceededError("block assignment count exceeds cap")
-    return float(_contract(k_graph, [w.values] * k_graph.n_edges, [w.sizes] * k_graph.n_vertices))
+    return float(_contract(k_graph, _measured_edges(k_graph, w.sizes, w.values)))
 
 
 def hom_kernel(k_graph: Graph, sizes: np.ndarray, kernel: np.ndarray) -> float:
     """Hom(K, U) for an arbitrary symmetric block kernel (values may leave [0,1])."""
-    return float(_contract(k_graph, [np.asarray(kernel, float)] * k_graph.n_edges,
-                           [np.asarray(sizes, float)] * k_graph.n_vertices))
+    return float(_contract(k_graph, _measured_edges(k_graph, np.asarray(sizes, float),
+                                                    np.asarray(kernel, float))))
 
 
 # ---------------------------------------------------------------------------

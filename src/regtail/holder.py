@@ -10,6 +10,12 @@ for a maximum fractional matching (w_e) dominated by a minimum fractional
 edge cover (w'_e). The conventions 1/0 = infinity (sup norms) and, when
 w'_e = w_e = 0, exponents 0 and 1 respectively, are applied symbolically:
 no float infinities enter a power.
+
+Seeded batches draw from one counter-based stream: instance i reads its
+L = 2v + e r^2 uniforms from a Philox generator keyed by the seed, starting
+at counter i * ceil(L / 4), so any block of instances is one ``random``
+call and any instance replays from (seed, i) alone (``instance_rng``).
+Each batch contracts its blocks with one ``graphons.contraction_plan``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .fractional import EdgeWeightVector, cover_number, weight_pair
-from .graphons import _contract
+from .graphons import _contract, contraction_plan
 from .graphs import Edge, Graph
 
 MAX_VERTICES = 7
@@ -124,9 +130,9 @@ class HolderInstance:
                 "kernels": {f"{u}-{v}": k.tolist() for (u, v), k in self.kernels.items()}}
 
 
-def _lhs(inst: HolderInstance) -> np.ndarray:
+def _lhs(inst: HolderInstance, plan: Optional[tuple] = None) -> np.ndarray:
     g = inst.graph
-    total = _contract(g, [inst.kernels[e] for e in g.sorted_edges()])
+    total = _contract(g, [inst.kernels[e] for e in g.sorted_edges()], plan=plan)
     for v in g.vertices:
         total = total * inst.cell(v)
     return total
@@ -208,9 +214,10 @@ class VerifyResult:
     passed: bool
 
 
-def _verify(inst: HolderInstance, factors: list[_Factor], rel_slack: float):
+def _verify(inst: HolderInstance, factors: list[_Factor], rel_slack: float,
+            plan: Optional[tuple] = None):
     """(lhs, rhs, margin, passed) of a validated block."""
-    lhs = _lhs(inst)
+    lhs = _lhs(inst, plan)
     rhs = _rhs(inst, factors)
     margin = rhs - lhs
     return lhs, rhs, margin, margin >= -rel_slack * np.maximum(1.0, np.abs(rhs))
@@ -226,52 +233,72 @@ def verify_instance(inst: HolderInstance, wp: WeightPair,
     return VerifyResult(lhs.item(), rhs.item(), margin.item(), passed.item())
 
 
-def _draw(g: Graph, rng: np.random.Generator, resolution: int,
-          full_boxes: bool = False) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """One instance's draws in stream order: a box per vertex, then the
-    kernels of ``sorted_edges()`` as one (e, r, r) array."""
-    boxes = []
-    for _ in g.vertices:
-        if full_boxes:
-            boxes.append((0.0, 1.0))
-        else:
-            lo = float(rng.uniform(0.0, 0.6))
-            boxes.append((lo, float(rng.uniform(lo + 0.2, 1.0))))
-    return boxes, rng.uniform(-1.0, 1.0, size=(g.n_edges, resolution, resolution))
+def _draws(g: Graph, resolution: int) -> int:
+    """L = 2v + e r^2, the doubles one instance reads: a box per vertex,
+    then a kernel per edge."""
+    return 2 * g.n_vertices + g.n_edges * resolution ** 2
 
 
-def random_instance(g: Graph, rng: np.random.Generator, resolution: int = 8,
-                    full_boxes: bool = False) -> HolderInstance:
-    """Seeded random step kernels in [-1, 1] on random (or full) boxes."""
-    boxes, kernels = _draw(g, rng, resolution, full_boxes)
-    return HolderInstance(g, dict(zip(g.vertices, boxes)),
+def instance_rng(g: Graph, seed: int, i: int, resolution: int = 8) -> np.random.Generator:
+    """The stream instance i of a seeded batch draws from: Philox keyed by
+    ``seed``, from counter i * ceil(L / 4) on (each counter step yields four
+    doubles). Passed to ``random_instance``, it replays instance i of
+    ``verify_batch(g, n, seed, resolution)``."""
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
+    return np.random.Generator(np.random.Philox(seed, counter=i * -(-_draws(g, resolution) // 4)))
+
+
+def _from_uniforms(g: Graph, u: np.ndarray, resolution: int):
+    """(lo, hi, kernels) from uniforms in stream order, (..., L): per vertex
+    a box, lo = U(0, 0.6) and hi = U(lo + 0.2, 1), then the kernels of
+    ``sorted_edges()`` in U(-1, 1), each as ``Generator.uniform`` computes it
+    from the same doubles. lo and hi are (..., v), the kernels (..., e, r, r)."""
+    n = 2 * g.n_vertices
+    lo = 0.6 * u[..., 0:n:2]
+    base = lo + 0.2
+    hi = base + (1.0 - base) * u[..., 1:n:2]
+    kernels = -1.0 + 2.0 * u[..., n:]
+    return lo, hi, kernels.reshape(u.shape[:-1] + (g.n_edges, resolution, resolution))
+
+
+def random_instance(g: Graph, rng: np.random.Generator, resolution: int = 8) -> HolderInstance:
+    """Seeded random step kernels in [-1, 1] on random boxes, from the
+    L = 2v + e r^2 doubles of one ``rng.random`` call."""
+    lo, hi, kernels = _from_uniforms(g, rng.random(_draws(g, resolution)), resolution)
+    return HolderInstance(g, {v: (float(a), float(b)) for v, a, b in zip(g.vertices, lo, hi)},
                           dict(zip(g.sorted_edges(), kernels)), resolution)
 
 
 def _draw_block(g: Graph, seed: int, indices: range, resolution: int) -> HolderInstance:
-    """Instances ``indices``, each drawn from its own stream (seed, i), as a block."""
-    draws = [_draw(g, np.random.default_rng([seed, i]), resolution) for i in indices]
-    boxes = np.array([b for b, _ in draws])  # (B, v, 2)
-    kernels = np.stack([k for _, k in draws], axis=1)  # (e, B, r, r)
-    return HolderInstance(g, {v: (boxes[:, j, 0], boxes[:, j, 1]) for j, v in enumerate(g.vertices)},
-                          dict(zip(g.sorted_edges(), kernels)), resolution)
+    """Instances ``indices`` as a block, from one call on their common
+    stream: instance i's row starts at its own counter."""
+    n = _draws(g, resolution)
+    u = instance_rng(g, seed, indices.start, resolution).random((len(indices), 4 * -(-n // 4)))
+    lo, hi, kernels = _from_uniforms(g, u[:, :n], resolution)
+    return HolderInstance(g, {v: (lo[:, j], hi[:, j]) for j, v in enumerate(g.vertices)},
+                          {e: kernels[:, k] for k, e in enumerate(g.sorted_edges())}, resolution)
 
 
 def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8,
                  rel_slack: float = 1e-9, max_failure_dumps: int = 3) -> dict:
     """Run seeded instances with generated admissible weights; count violations.
 
-    Instance i draws from its own stream (seed, i), and the instances are
-    evaluated in blocks of at most ``BLOCK_ENTRIES`` stacked kernel
-    entries; the report does not depend on the block size. Violating
-    instances (there should be none) are serialized inline so a failure can
-    be replayed from the report alone.
+    Instance i reads its L = 2v + e r^2 doubles from one Philox stream keyed
+    by ``seed``, starting at its own counter (``instance_rng(g, seed, i,
+    resolution)`` replays it), so a block of instances is one draw from
+    that stream. The instances are evaluated in blocks of at most
+    ``BLOCK_ENTRIES`` stacked kernel entries, each contracted with one plan
+    built here for the pattern and resolution; the report does not depend
+    on the block size. Violating instances (there should be none) are
+    serialized inline so a failure can be replayed from the report alone.
     """
     if n_instances < 1:
         raise PreconditionError("need at least one instance")
     _check_grid(g, resolution)
     wp = WeightPair.generate(g)
     factors = _rhs_factors(g, wp)
+    plan = contraction_plan(g, resolution)
     size = max(1, BLOCK_ENTRIES // (max(g.n_edges, 1) * resolution ** 2))
     violations = 0
     worst = math.inf
@@ -282,7 +309,7 @@ def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8,
         block.validate()
         # An edgeless pattern has nothing to stack and gives 0-d results.
         lhs, rhs, margin, passed = (np.broadcast_to(x, (len(indices),))
-                                    for x in _verify(block, factors, rel_slack))
+                                    for x in _verify(block, factors, rel_slack, plan))
         worst = min(worst, float(margin.min()))
         failed = np.flatnonzero(~passed)
         violations += len(failed)

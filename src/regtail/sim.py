@@ -635,6 +635,8 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     p = d / n
     threshold = (1.0 + delta) * p ** pattern.n_edges * float(n) ** pattern.n_vertices
     plan = hom_plan(pattern, n, p)
@@ -689,6 +691,8 @@ def planted_comparison(pattern: Graph, w: BlockGraphon, n: int, p: float,
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     spec = PStarSpec.from_graphon(w, n, p)
     hom_s = inj_s = hom_b = inj_b = 0
     for t in range(trials):

@@ -260,11 +260,22 @@ def test_holder_cli_resolution_bounds(capsys, monkeypatch, resolution, code):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew an instance before checking the resolution")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "Philox", no_draws)
     got, out, err = run_cli(capsys, "holder", "--family", "k0", "--instances", "5",
                             "--resolution", resolution)
     assert got == code and out == ""
     assert "resolution" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["holder", "--family", "k0", "--instances", "5"],
+    ["simulate", "--family", "cycle:3", "--n", "12", "--d", "3", "--delta", "-0.5", "--trials", "2"],
+    ["plant", "--family", "complete-bipartite:2,3", "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
+     "--n", "300", "--p", "0.05", "--trials", "2"]], ids=["holder", "simulate", "plant"])
+def test_negative_seed_is_a_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be non-negative\n"
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -401,24 +412,32 @@ CORPUS_EDGES = {
 }
 CORPUS_COMMANDS = {"invariants": ["--delta", "1"],
                    "rate": ["--delta", "1", "--n", "1e6", "--p", "1e-3"]}
+# The holder benchmark's six Hölder patterns and its two constructions.
+HOLDER_EDGES = {"P3": [(0, 1), (1, 2)], "C4": _cycle(4), "C5": _cycle(5),
+                "K23": CORPUS_EDGES["K23"], "butterfly": CORPUS_EDGES["butterfly"], "K0": _K0}
+CORPUS_RUNS = (
+    [(name, command, flags) for name in CORPUS_EDGES for command, flags in CORPUS_COMMANDS.items()]
+    + [(name, "holder", ["--instances", "200", "--seed", "3"]) for name in HOLDER_EDGES]
+    + [("K23", "construct", ["--w0", "--gamma", "1/2", "--z", "1", "--w", "0", "--p-grid", "1e-2,1e-3,1e-4"]),
+       ("K0", "construct", ["--w1", "--d1", "4", "--d2", "1", "--p-grid", "1e-2,1e-3,1e-4"])])
 CORPUS_FIXTURE = Path(__file__).with_name("corpus_cli_outputs.json")
 
 
 def corpus_outputs():
-    """Each corpus command's JSON output, timestamp blanked, keyed
+    """Each corpus run's JSON output, timestamp blanked, keyed
     "<command> <pattern>". The edge files go to the working directory, so
     the echoed configuration names them by a relative path."""
     outputs = {}
-    for name, edges in CORPUS_EDGES.items():
+    for name, command, flags in CORPUS_RUNS:
         path = Path(f"{name}.el")
-        path.write_text("".join(f"{u} {v}\n" for u, v in edges), encoding="utf-8")
-        for command, flags in CORPUS_COMMANDS.items():
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main([command, "--file", str(path), *flags])
-            if code != 0:
-                raise RuntimeError(f"{command} {name} exited {code}")
-            outputs[f"{command} {name}"] = strip_timestamp(buf.getvalue())
+        path.write_text("".join(f"{u} {v}\n" for u, v in {**CORPUS_EDGES, **HOLDER_EDGES}[name]),
+                        encoding="utf-8")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([command, "--file", str(path), *flags])
+        if code != 0:
+            raise RuntimeError(f"{command} {name} exited {code}")
+        outputs[f"{command} {name}"] = strip_timestamp(buf.getvalue())
     return outputs
 
 

@@ -8,12 +8,12 @@ from regtail.errors import (CapExceededError, InfeasibleConstructionError,
                             PreconditionError)
 from regtail.exponents import subgraph_census
 from regtail.graphons import (BlockGraphon, ConditionThresholds, _contract,
-                              build_w0, build_w1, check_conditions,
+                              build_w0, build_w1, check_conditions, contraction_plan,
                               classify_blocks, hom_density, hom_kernel,
                               ip_scalar, ip_total, regularity_residual,
                               w1_mid_value)
-from regtail.graphs import (Graph, butterfly, complete_bipartite, cycle_graph,
-                            k0_graph)
+from regtail.graphs import (Graph, butterfly, complete_bipartite, complete_graph,
+                            cycle_graph, k0_graph)
 
 
 def quadrature_hom_oracle(k_graph, w, refine=3):
@@ -180,6 +180,19 @@ def test_stacked_contraction_does_not_depend_on_stack_size():
         for size in (1, 2, 5):
             parts = [_contract(g, [op[s:s + size].copy() for op in ops]) for s in range(0, 12, size)]
             assert np.array_equal(np.concatenate(parts), whole), (g, size)
+
+
+def test_contraction_plan_is_pairwise_within_r4():
+    # One pairwise step per edge but the last, each intermediate at most
+    # r^4 entries; only the 7-vertex K7 reaches r^5.
+    for g in (k0_graph(), complete_graph(5), complete_graph(6), complete_bipartite(3, 3),
+              butterfly(), complete_graph(7)):
+        plan = contraction_plan(g, 8)
+        assert len(plan) == g.n_edges - 1
+        assert all(len(picked) == 2 for picked, _, _ in plan)
+        over = {len(out) for _, _, (_, _, out) in plan if len(out) > 4}
+        assert over == ({5} if g.n_edges == 21 else set()), g
+    assert contraction_plan(Graph([(0, 1)]), 8) == ()
 
 
 def test_partition_identity():

@@ -8,11 +8,12 @@ import pytest
 import regtail.holder as holder
 from regtail.errors import PreconditionError
 from regtail.fractional import EdgeWeightVector, cover_number, strict_weight_pair
-from regtail.graphs import Graph, butterfly, complete_bipartite, cycle_graph, k0_graph
+from regtail.graphs import (Graph, butterfly, complete_bipartite, complete_graph,
+                             cycle_graph, k0_graph)
 from regtail.holder import (HolderInstance, VerifyResult, WeightPair,
-                            lhs_integral, random_instance, rhs_bound,
+                            instance_rng, lhs_integral, random_instance, rhs_bound,
                             verify_batch, verify_instance)
-from regtail.graphons import build_w0
+from regtail.graphons import build_w0, contraction_plan
 
 H = Fraction(1, 2)
 
@@ -25,20 +26,24 @@ SUITE = {"P3": Graph([(0, 1), (1, 2)]), "C4": cycle_graph(4), "C5": cycle_graph(
 
 
 def nested_loop_lhs_oracle(inst):
-    """Second implementation of the product integral: plain nested loops."""
+    """Second implementation of the product integral: plain nested loops in
+    exact rational arithmetic, rounded once at the end, so that it stays
+    accurate where the sum cancels."""
     g = inst.graph
     verts = list(g.vertices)
     r = inst.resolution
-    total = 0.0
+    kernels = {e: [[Fraction(x) for x in row] for row in np.asarray(k).tolist()]
+               for e, k in inst.kernels.items()}
+    total = Fraction(0)
     for combo in itertools.product(range(r), repeat=len(verts)):
         idx = dict(zip(verts, combo))
-        term = 1.0
+        term = Fraction(1)
         for (u, v) in g.sorted_edges():
-            term *= inst.kernels[(u, v)][idx[u], idx[v]]
+            term *= kernels[(u, v)][idx[u]][idx[v]]
         total += term
     for v in verts:
-        total *= inst.cell(v)
-    return total
+        total *= Fraction(inst.cell(v))
+    return float(total)
 
 
 def _column_norm_max(kernel, axis_of_v, a, other_cell):
@@ -229,15 +234,22 @@ def test_suite_covers_pulled_out_norms_and_zero_weights():
         assert sup == (name in ("C4", "K23", "butterfly", "K0")), name
 
 
-@pytest.mark.parametrize("name", SUITE)
+# The suite at resolution 4, and dense patterns whose plans contract
+# pairwise where a single many-operand loop once ran, at resolution 3.
+ORACLE_CASES = {**{name: (g, 4) for name, g in SUITE.items()},
+                "K5": (complete_graph(5), 3), "K6": (complete_graph(6), 3),
+                "K33": (complete_bipartite(3, 3), 3)}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
 def test_batch_matches_oracles(name):
-    g = SUITE[name]
+    g, r = ORACLE_CASES[name]
     wp = WeightPair.generate(g)
-    out = every_instance(g, 12, 5, resolution=4)
+    out = every_instance(g, 12, 5, resolution=r)
     assert [f["instance_index"] for f in out["failures"]] == list(range(12))
     margins = []
     for f in out["failures"]:
-        inst = random_instance(g, np.random.default_rng([5, f["instance_index"]]), resolution=4)
+        inst = random_instance(g, instance_rng(g, 5, f["instance_index"], r), resolution=r)
         assert f["bundle"] == inst.to_jsonable()
         lhs = nested_loop_lhs_oracle(inst)
         rhs = scalar_rhs_oracle(inst, wp)
@@ -279,6 +291,20 @@ def test_batch_report_does_not_depend_on_block_size(name, monkeypatch):
         reports[size] = (verify_batch(g, 30, 2, resolution=r), every_instance(g, 30, 2, resolution=r))
     assert reports[1] == reports[None]
     assert reports[7] == reports[None]
+
+
+def test_batch_builds_one_plan(monkeypatch):
+    # The path is searched once per batch, not once per block.
+    plans = []
+
+    def counted(*args):
+        plans.append(args)
+        return contraction_plan(*args)
+
+    monkeypatch.setattr(holder, "contraction_plan", counted)
+    monkeypatch.setattr(holder, "BLOCK_ENTRIES", 7 * 9 * 64)
+    out = verify_batch(k0_graph(), 30, 2)
+    assert out["violations"] == 0 and plans == [(k0_graph(), 8)]
 
 
 def test_failure_dumps_replay():
