@@ -4,6 +4,10 @@ Subcommands: invariants, rate, construct, check-conditions, holder,
 simulate, plant. Output is JSON (CSV available for grid tables); every run
 echoes its configuration so results are reproducible. Exit codes: 0 ok,
 2 config error, 3 cap exceeded, 4 infeasible construction.
+
+``main(argv)`` returns the exit code and may be called repeatedly in one
+process: the argument parser is built once, at import, and each call
+parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -43,7 +47,10 @@ EXIT_INFEASIBLE = 4
 def _parse_family(text: str) -> Graph:
     if ":" in text:
         tag, raw = text.split(":", 1)
-        params = tuple(int(x) for x in raw.split(","))
+        try:
+            params = tuple(int(x) for x in raw.split(","))
+        except ValueError:
+            raise PreconditionError(f"bad family parameters {raw!r}; use integers, e.g. cycle:5")
     else:
         tag, params = text, ()
     return make_named(tag, params)
@@ -66,6 +73,13 @@ def _read(path: str) -> str:
         raise PreconditionError(f"cannot read {path}: {exc.strerror}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror}")
+
+
 def _parse_caps(args) -> dict[str, int]:
     caps = {"cover": DEFAULT_COVER_CAP}
     raw = getattr(args, "caps", None)
@@ -79,7 +93,12 @@ def _parse_caps(args) -> dict[str, int]:
 
 
 def _parse_fraction(text: str) -> float:
-    return float(Fraction(text))
+    # argparse turns only ValueError, TypeError and ArgumentTypeError into
+    # a usage error, and Fraction("1/0") raises ZeroDivisionError.
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}")
 
 
 def _jsonable(obj):
@@ -118,8 +137,7 @@ def _emit(args, payload: dict, rows=None, header=None) -> None:
     else:
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -224,16 +242,33 @@ def cmd_construct(args) -> None:
           rows=[[r[h] for h in header] for r in rows], header=header)
 
 
+def _thresholds(path: Optional[str]) -> ConditionThresholds:
+    """The default thresholds, overridden by the JSON object in ``path``."""
+    thresholds = ConditionThresholds()
+    if not path:
+        return thresholds
+    try:
+        overrides = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"cannot parse {path}: {exc.msg} "
+                                f"at line {exc.lineno} column {exc.colno}")
+    if not isinstance(overrides, dict):
+        raise PreconditionError(f"{path} must hold a JSON object")
+    for key, value in overrides.items():
+        if not hasattr(thresholds, key):
+            raise PreconditionError(f"unknown threshold {key!r}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        optional = value is None and getattr(thresholds, key) is None
+        if not (number or optional):
+            raise PreconditionError(f"threshold {key!r} must be a number")
+        setattr(thresholds, key, value)
+    return thresholds
+
+
 def cmd_check_conditions(args) -> None:
     g, _ = _load_graph(args)
     w = _construction(args, args.p)
-    thresholds = ConditionThresholds()
-    if args.thresholds_file:
-        for key, value in json.loads(_read(args.thresholds_file)).items():
-            if not hasattr(thresholds, key):
-                raise PreconditionError(f"unknown threshold {key!r}")
-            setattr(thresholds, key, value)
-    report = check_conditions(w, g, args.n, args.p, thresholds)
+    report = check_conditions(w, g, args.n, args.p, _thresholds(args.thresholds_file))
     _emit(args, {"conditions": report.to_jsonable()})
 
 
@@ -249,8 +284,7 @@ def cmd_simulate(args) -> None:
     payload = {"tail_estimate": est.to_jsonable()}
     if args.dump_graph:
         sample = sample_regular(args.n_vertices, args.d, [args.seed, 0])
-        with open(args.dump_graph, "w", encoding="utf-8") as fh:
-            fh.write(sample.to_edge_list())
+        _write(args.dump_graph, sample.to_edge_list())
         payload["dumped_graph"] = args.dump_graph
     _emit(args, payload)
 
@@ -356,9 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args fills a new Namespace on each call and no action has a mutable
+# default, so one parser serves every call in the process.
+PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         args.func(args)
     except (EdgeListParseError, PreconditionError, BudgetExhaustedError) as exc:

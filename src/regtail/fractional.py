@@ -13,6 +13,7 @@ are exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,24 +64,35 @@ class EdgeWeightVector:
     weights: dict[Edge, Fraction]
     total: Fraction
 
-    def vertex_sums(self) -> dict[int, Fraction]:
-        sums: dict[int, Fraction] = {}
+    def _scaled_sums(self) -> tuple[int, int, dict[int, int]]:
+        """(d, d * sum of the weights, d * each vertex sum) for d the least
+        common denominator of the weights: exact sums on integers, with no
+        Fraction normalised per addition."""
+        den = math.lcm(*(w.denominator for w in self.weights.values()))
+        total = 0
+        sums: dict[int, int] = {}
         for (u, v), w in self.weights.items():
-            sums[u] = sums.get(u, Fraction(0)) + w
-            sums[v] = sums.get(v, Fraction(0)) + w
-        return sums
+            n = w.numerator * (den // w.denominator)
+            total += n
+            sums[u] = sums.get(u, 0) + n
+            sums[v] = sums.get(v, 0) + n
+        return den, total, sums
+
+    def vertex_sums(self) -> dict[int, Fraction]:
+        den, _, sums = self._scaled_sums()
+        return {v: Fraction(s, den) for v, s in sums.items()}
 
     def validate(self) -> None:
-        if any(w < 0 for w in self.weights.values()):
+        if any(w.numerator < 0 for w in self.weights.values()):
             raise PreconditionError("negative edge weight")
-        sums = self.vertex_sums()
-        if self.role == "matching" and any(s > 1 for s in sums.values()):
+        den, total, sums = self._scaled_sums()
+        if self.role == "matching" and any(s > den for s in sums.values()):
             raise PreconditionError("matching constraint violated")
-        if self.role == "edge-cover" and any(s < 1 for s in sums.values()):
+        if self.role == "edge-cover" and any(s < den for s in sums.values()):
             raise PreconditionError("edge-cover constraint violated")
-        if self.role == "perfect-matching" and any(s != 1 for s in sums.values()):
+        if self.role == "perfect-matching" and any(s != den for s in sums.values()):
             raise PreconditionError("perfect-matching constraint violated")
-        if self.total != sum(self.weights.values(), Fraction(0)):
+        if self.total.numerator * den != total * self.total.denominator:
             raise PreconditionError("stated total does not match the weights")
 
     def to_jsonable(self) -> dict:

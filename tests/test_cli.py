@@ -218,7 +218,8 @@ def test_construct_grid_json_and_csv(capsys):
 
 def test_check_conditions(capsys, tmp_path):
     thresholds = tmp_path / "thr.json"
-    thresholds.write_text(json.dumps({"small_factor": 0.2}))
+    # null is a value only where the default is None.
+    thresholds.write_text(json.dumps({"small_factor": 0.2, "hom_plus_max": None}))
     code, out, _ = run_cli(capsys, "check-conditions", "--family", "complete-bipartite:2,3",
                            "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
                            "--p", "1e-3", "--n", "1e9",
@@ -381,6 +382,81 @@ def test_bad_p_grid_exits_2(capsys):
                              "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
                              "--p-grid", "1e-3,")
     assert code == 2 and out == "" and "bad --p-grid '1e-3,'" in err
+
+
+def test_unwritable_outputs_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "report.json")
+    code, out, err = run_cli(capsys, "invariants", "--family", "k0", "--out", missing)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+    code, out, err = run_cli(capsys, "simulate", "--family", "cycle:3", "--n", "12", "--d", "3",
+                             "--delta", "0.5", "--trials", "2", "--dump-graph", missing)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "cannot parse {path}: Expecting property name enclosed in double quotes "
+             "at line 1 column 2"),
+    ("[1,2]", "{path} must hold a JSON object"),
+    ('{"small_factor": "x"}', "threshold 'small_factor' must be a number"),
+], ids=["not-json", "list", "string-value"])
+def test_bad_thresholds_file_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "thr.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check-conditions", "--family", "complete-bipartite:2,3",
+                             "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
+                             "--n", "1e4", "--p", "1e-2", "--thresholds-file", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "error: " + message.format(path=path) + "\n"
+
+
+def test_non_integer_family_parameters_exit_2(capsys):
+    code, out, err = run_cli(capsys, "invariants", "--family", "cycle:x")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "error: bad family parameters 'x'; use integers, e.g. cycle:5\n"
+
+
+def test_zero_denominator_gamma_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--family", "complete-bipartite:2,3", "--w0",
+              "--gamma", "1/0", "--p", "1e-3"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "Traceback" not in out.err
+    assert out.err.endswith("argument --gamma: invalid fraction '1/0'\n")
+
+
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    import regtail.cli
+
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(regtail.cli, "build_parser", no_parser)
+    code, out, _ = run_cli(capsys, "rate", "--family", "k0", *RATE_ARGS)
+    assert code == 0 and json.loads(out)["rate_report"]["classification"] == "k0-special"
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    # A fresh interpreter's output is the reference for the last call.
+    import regtail
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(regtail.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "regtail.cli", "invariants", "--family", "k0"],
+                           env=env, capture_output=True, text=True, timeout=120, check=True)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--family", "k0"])  # --delta missing
+    assert exc.value.code == 2
+    assert main(["holder", "--family", "k0", "--instances", "5", "--seed", "-1"]) == 2
+    assert main(["invariants", "--family", "k0", "--caps", "cover=12"]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "invariants", "--family", "k0")
+    assert code == 0
+    assert "caps" not in json.loads(out)["config"]
+    assert strip_timestamp(out) == strip_timestamp(fresh.stdout)
 
 
 # The benchmark's `invariants` workload: its 12 patterns, in the benchmark's

@@ -101,6 +101,33 @@ def test_duality_random_bipartite(edges):
     assert max_frac_matching(g)[0] == frac_vertex_cover_number(g)[0]
 
 
+def test_valid_weight_vectors_pass_and_sum_exactly():
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    w = EdgeWeightVector("matching", {(0, 1): third, (1, 2): H, (2, 3): 2 * fifth},
+                         Fraction(37, 30))
+    w.validate()
+    assert w.vertex_sums() == {0: third, 1: Fraction(5, 6), 2: Fraction(9, 10), 3: 2 * fifth}
+    halves = {(0, 1): H, (1, 2): H, (0, 2): H}
+    EdgeWeightVector("perfect-matching", halves, Fraction(3, 2)).validate()
+    EdgeWeightVector("edge-cover", {**halves, (2, 3): 1}, Fraction(5, 2)).validate()
+
+
+@pytest.mark.parametrize("role, weights, total, message", [
+    ("matching", {(0, 1): -H, (1, 2): H}, Fraction(0), "negative edge weight"),
+    ("matching", {(0, 1): H, (1, 2): Fraction(2, 3)}, Fraction(7, 6),
+     "matching constraint violated"),
+    ("edge-cover", {(0, 1): Fraction(2, 3), (1, 2): 1}, Fraction(5, 3),
+     "edge-cover constraint violated"),
+    ("perfect-matching", {(0, 1): Fraction(1, 3), (1, 2): Fraction(2, 3), (0, 2): Fraction(1, 3)},
+     Fraction(4, 3), "perfect-matching constraint violated"),
+    ("matching", {(0, 1): H, (1, 2): Fraction(1, 3)}, Fraction(1),
+     "stated total does not match the weights"),
+], ids=["negative", "matching", "edge-cover", "perfect-matching", "total"])
+def test_weight_vector_validate_rejects_each_violation(role, weights, total, message):
+    with pytest.raises(PreconditionError, match=message):
+        EdgeWeightVector(role, weights, total).validate()
+
+
 def test_matching_to_cover_k23(k23):
     # Maximum matching supported on v1w1 and v2w2; the deficient w3 spreads
     # 1/2 onto each of its two edges.
