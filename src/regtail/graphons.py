@@ -403,6 +403,8 @@ def check_conditions(w: BlockGraphon, k_graph: Graph, n: float, p: float,
                      thresholds: Optional[ConditionThresholds] = None,
                      cap: int = DEFAULT_BLOCK_TERM_CAP) -> ConditionReport:
     """Evaluate the ten block-graphon conditions as ratios plus pass flags."""
+    if not (math.isfinite(n) and n >= 3):
+        raise PreconditionError("need finite n >= 3")
     thr = thresholds or ConditionThresholds()
     e_k = k_graph.n_edges
     ent = ip_total(w, p)

@@ -2,13 +2,23 @@
 
 The sampler proposes pairings of stubs and rejects non-simple outcomes,
 which is exactly uniform conditioned on success, so such a sample is
-returned as drawn. When the rejection budget runs out (degrees where almost
-every pairing collides) it falls back to a repair strategy, and only then
-runs a long double-edge-swap walk for mixing. The provenance records which
-path produced the sample and how many swap steps it took (``swap_steps``,
-0 on the exact path). Tail probabilities at asymptotic scale are
-unreachable here by design; the module targets moderate sizes and
-planted-mean comparisons.
+returned as drawn. The proposals are drawn and tested in numpy blocks of
+i.i.d. attempts, and the first simple one in block order is kept. When the
+rejection budget runs out (degrees where almost every pairing collides) it
+falls back to a repair strategy, and only then runs a long
+double-edge-swap walk for mixing. The provenance records which path
+produced the sample and how many swap steps it took (``swap_steps``, 0 on
+the exact path). Tail probabilities at asymptotic scale are unreachable
+here by design; the module targets moderate sizes and planted-mean
+comparisons.
+
+Two exact counters give Hom(K, G) as a Python int. ``hom_count``
+backtracks over adjacency bitmasks and takes any pattern of at most
+``HOM_VERTEX_CAP`` vertices, on targets of at most ``HOM_N_CAP``
+vertices. ``hom_counts_dense`` reads K_{2,m} (P3 and C4 included) and K0
+off the codegree matrix A·A, on targets below 2^24 vertices, so
+``tail_estimate`` counts those patterns with it and is not bound by
+``HOM_N_CAP`` for them.
 
 The independent-edge samplers (``sample_gnp`` and the tilted model of
 ``sample_pstar``) draw only the edges: every block pair has one edge
@@ -26,7 +36,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import BudgetExhaustedError, CapExceededError, PreconditionError
-from .graphs import Edge, Graph, components
+from .exponents import _is_k0
+from .graphs import Edge, Graph, components, is_complete_bipartite
 from .graphons import BlockGraphon, hom_density
 
 HOM_VERTEX_CAP = 6
@@ -34,6 +45,7 @@ HOM_N_CAP = 64
 CYCLE_POWER_CAP = 12
 DENSE_N_CAP = 1 << 24  # float32 holds every codegree below 2^24 exactly
 K0_ENTRY_CAP = 1 << 20  # entries per edge chunk and per gather in the K0 counter
+PAIRING_BLOCK_ENTRIES = 1 << 16  # stubs per block of pairing attempts
 
 
 @dataclass
@@ -87,12 +99,13 @@ class SimGraph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def adjacency(self, dtype=np.float64) -> np.ndarray:
+        """The n x n 0/1 adjacency matrix, unpacked from the row bitmasks."""
         if self._dense is not None:
             return self._dense.astype(dtype)
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        for u, v in self.edges():
-            a[u, v] = a[v, u] = 1
-        return a
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows),
+                               dtype=np.uint8).reshape(self.n, width)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").astype(dtype)
 
     def to_edge_list(self) -> str:
         return "\n".join(f"{u} {v}" for u, v in self.edges()) + "\n"
@@ -102,20 +115,39 @@ class SimGraph:
 # Sampling d-regular graphs
 # ---------------------------------------------------------------------------
 
-def _pairing_attempt(stubs: np.ndarray, n: int,
-                     rng: np.random.Generator) -> Optional[list[tuple[int, int]]]:
-    """One configuration-model pairing of ``stubs`` (vertex v repeated d
-    times), or None when it has a loop or a multiple edge."""
-    perm = rng.permutation(stubs)
-    a, b = perm[0::2], perm[1::2]
-    if np.any(a == b):
-        return None
-    lo = np.minimum(a, b).astype(np.int64)
-    hi = np.maximum(a, b).astype(np.int64)
-    keys = lo * n + hi
-    if len(np.unique(keys)) != len(keys):
-        return None
-    return list(zip(lo.tolist(), hi.tolist()))
+def _first_simple_pairing(n: int, d: int, budget: int,
+                          rng: np.random.Generator) -> tuple[Optional[list[tuple[int, int]]], int]:
+    """The first simple pairing among at most ``budget`` i.i.d.
+    configuration-model pairings of n vertices with d stubs each, with the
+    number of attempts up to and including it; (None, budget) when every
+    attempt has a loop or a multiple edge.
+
+    The attempts are drawn in blocks, one ``rng.permuted`` stub row per
+    attempt, and tested together: a row is simple when it pairs no stub
+    with its own vertex and its sorted ``lo * n + hi`` keys hold no repeat.
+    A block holds exp(lam + lam^2) rows rounded up, at most
+    ``PAIRING_BLOCK_ENTRIES`` stubs and at most the attempts left in the
+    budget. Each row reads the generator as one ``rng.permutation`` of the
+    stubs does, so the result, and the generator's state when the budget
+    runs out, are those of drawing the attempts one at a time.
+    """
+    stubs = np.repeat(np.arange(n), d)
+    cap = max(1, PAIRING_BLOCK_ENTRIES // max(1, n * d))
+    log_expected = _log_expected_attempts(d)
+    size = cap if log_expected >= math.log(cap) else min(cap, math.ceil(math.exp(log_expected)))
+    attempts = 0
+    while attempts < budget:
+        block = min(size, budget - attempts)
+        perm = rng.permuted(np.broadcast_to(stubs, (block, n * d)), axis=1)
+        a, b = perm[:, 0::2], perm[:, 1::2]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = np.sort(lo * n + hi, axis=1)
+        simple = ~((lo == hi).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1))
+        if simple.any():
+            i = int(simple.argmax())
+            return list(zip(lo[i].tolist(), hi[i].tolist())), attempts + i + 1
+        attempts += block
+    return None, budget
 
 
 def _repair_attempt(n: int, d: int, rng: np.random.Generator) -> Optional[list[tuple[int, int]]]:
@@ -156,9 +188,11 @@ def _swap_walk(g: SimGraph, steps: int, rng: np.random.Generator) -> int:
     A proposal (i, j, flip) does not depend on the walk's state, so all of
     them are drawn up front, in three vectorised calls.
     """
+    if steps <= 0:
+        return 0
     edge_list = g.edges()
     m = len(edge_list)
-    if m < 2 or steps <= 0:
+    if m < 2:
         return 0
     edge_set = set(edge_list)
     firsts = rng.integers(0, m, size=steps).tolist()
@@ -191,6 +225,14 @@ def _swap_walk(g: SimGraph, steps: int, rng: np.random.Generator) -> int:
     return applied
 
 
+def _log_expected_attempts(d: int) -> float:
+    """log of exp(lam + lam^2), lam = (d - 1)/2: the asymptotic expected
+    number of pairing attempts per simple one (exp of it overflows a float
+    from d = 54 on)."""
+    lam = (d - 1) / 2.0
+    return lam + lam * lam
+
+
 def default_reject_budget(d: int) -> int:
     """Attempts before falling back, sized from the asymptotic success rate.
 
@@ -198,8 +240,7 @@ def default_reject_budget(d: int) -> int:
     exact-rejection path is hopeless at any sane budget, so it is skipped
     outright and the repair path (plus the swap walk) takes over.
     """
-    lam = (d - 1) / 2.0
-    log_expected = lam + lam * lam  # exp of it overflows a float from d = 54 on
+    log_expected = _log_expected_attempts(d)
     if log_expected > math.log(2500.0):
         return 0
     return int(min(2000, max(50, 20.0 * math.exp(log_expected))))
@@ -212,12 +253,24 @@ def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
 
     Pairing proposals are rejected until simple; the accepted pairing is
     uniform over d-regular graphs (a configuration model conditioned on
-    simplicity) and is returned as it is. After ``reject_budget`` misses the
-    repair fallback builds a simple pairing greedily, flagged in the
-    provenance as ``pairing-repair``, and randomizes it by
-    swap_factor * n * d double-edge swaps. The provenance records those
-    steps as ``swap_steps`` (0 on the exact path) and the accepted swaps as
-    ``swaps_applied``.
+    simplicity) and is returned as it is. The proposals are drawn in blocks
+    of i.i.d. attempts and the first simple one in block order is taken,
+    which is still the first simple one of an i.i.d. sequence; the rows of
+    a block read the generator as one-at-a-time attempts would, so even the
+    sample drawn for a seed does not depend on the blocking. The block size
+    is exp(lam + lam^2), lam = (d - 1)/2, rounded up: the asymptotic
+    expected number of attempts per simple pairing. It is capped by
+    ``PAIRING_BLOCK_ENTRIES`` stubs per block and by the attempts left in
+    ``reject_budget``, so no more than ``reject_budget`` attempts are ever
+    drawn, and none when it is 0 (every d >= 6 by default). The
+    provenance's ``attempts`` counts the attempts up to and including the
+    accepted one.
+
+    After ``reject_budget`` misses the repair fallback builds a simple
+    pairing greedily, flagged in the provenance as ``pairing-repair``, and
+    randomizes it by swap_factor * n * d double-edge swaps. The provenance
+    records those steps as ``swap_steps`` (0 on the exact path) and the
+    accepted swaps as ``swaps_applied``.
     """
     if n * d % 2 != 0:
         raise PreconditionError("n*d must be even")
@@ -225,14 +278,8 @@ def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
         raise PreconditionError("need 0 <= d < n")
     rng = np.random.default_rng(seed)
     budget = default_reject_budget(d) if reject_budget is None else reject_budget
-    edges = None
     sampler = "pairing-rejection"
-    attempts = 0
-    stubs = np.repeat(np.arange(n), d)
-    for attempts in range(1, budget + 1):
-        edges = _pairing_attempt(stubs, n, rng)
-        if edges is not None:
-            break
+    edges, attempts = _first_simple_pairing(n, d, budget, rng)
     if edges is None:
         if not allow_repair:
             raise BudgetExhaustedError(f"no simple pairing in {budget} attempts")
@@ -400,6 +447,16 @@ def cycle_hom_oracle(k: int, g: SimGraph) -> int:
 # Dense counters for patterns at sizes beyond the backtracking caps
 # ---------------------------------------------------------------------------
 
+def _dense_kind(pattern: Graph) -> Optional[str]:
+    """The counter of ``hom_counts_dense`` for the pattern: "k2m" for
+    K_{2,m} (P3 = K_{1,2} and C4 = K_{2,2} included), "k0" for K0, None when
+    it has none."""
+    sides = is_complete_bipartite(pattern)
+    if sides is not None and 2 in sides:
+        return "k2m"
+    return "k0" if _is_k0(pattern) else None
+
+
 def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[int, int]:
     """(all-maps count, injective count) as exact Python ints, from the
     codegree matrix C = A·A of the symmetric 0/1 adjacency matrix ``adj``.
@@ -421,15 +478,12 @@ def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[int, int]:
       injective count is 2 sum_k h[k] (k-2)(k-3). The edges are handled in
       vectorised chunks, which bounds memory.
 
-    These cover the planted-comparison workloads, where n is far beyond the
-    backtracking cap; other patterns raise ``CapExceededError``.
+    These cover the planted-comparison workloads and ``tail_estimate`` on
+    such patterns, at any n below 2^24; other patterns raise
+    ``CapExceededError``.
     """
-    from .graphs import is_complete_bipartite
-    from .exponents import _is_k0
-
-    sides = is_complete_bipartite(pattern)
-    k2m = sides is not None and 2 in sides
-    if not k2m and not _is_k0(pattern):
+    kind = _dense_kind(pattern)
+    if kind is None:
         raise CapExceededError("no dense counter for this pattern; use hom_count")
     a = np.asarray(adj, dtype=np.float32)
     n = a.shape[0]
@@ -438,8 +492,8 @@ def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[int, int]:
                                f"are exact only below {DENSE_N_CAP}")
     # A is symmetric, so A·A = A·Aᵀ, which numpy runs as one syrk: half the flops.
     c = (a @ a.T).astype(np.int64)
-    if k2m:
-        m = sum(sides) - 2
+    if kind == "k2m":
+        m = pattern.n_vertices - 2
         h = np.bincount(c.ravel())
         h_off = (h - np.bincount(np.diagonal(c), minlength=len(h))).tolist()
         hom = sum(hk * k ** m for k, hk in enumerate(h.tolist()))
@@ -631,7 +685,11 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
     """Frequency of Hom(K, sample) >= (1+delta) p^e n^v over regular samples.
 
     Per-trial RNG streams are keyed by (seed, trial), so the result does not
-    depend on any batching of the trials.
+    depend on any batching of the trials. A pattern with a dense counter
+    (K_{2,m}, P3 and C4 included, or K0) is counted by ``hom_counts_dense``
+    at any n, beyond ``HOM_N_CAP`` too; every other pattern by ``hom_count``
+    along one ``hom_plan``, on targets of at most ``HOM_N_CAP`` vertices.
+    Both counts are exact integers, so the hits agree wherever both apply.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
@@ -639,11 +697,16 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
         raise PreconditionError("seed must be non-negative")
     p = d / n
     threshold = (1.0 + delta) * p ** pattern.n_edges * float(n) ** pattern.n_vertices
-    plan = hom_plan(pattern, n, p)
+    dense = _dense_kind(pattern) is not None
+    plan = None if dense else hom_plan(pattern, n, p)
     hits = 0
     for t in range(trials):
         g = sample_regular(n, d, [seed, t])
-        if hom_count(pattern, g, plan) >= threshold:
+        if dense:
+            count, _ = hom_counts_dense(pattern, g.adjacency(np.float32))
+        else:
+            count = hom_count(pattern, g, plan)
+        if count >= threshold:
             hits += 1
     return TailEstimate(trials, hits, hits / trials,
                         wilson_interval(hits, trials), threshold, seed)

@@ -231,6 +231,14 @@ def test_check_conditions(capsys, tmp_path):
     assert conditions["1"]["passed"] is True
 
 
+@pytest.mark.parametrize("n", ["0", "-5", "nan", "inf"])
+def test_check_conditions_needs_finite_n_of_at_least_3(capsys, n):
+    code, out, err = run_cli(capsys, "check-conditions", "--family", "k0", "--w1",
+                             "--d1", "4", "--d2", "1", "--p", "1e-3", f"--n={n}")
+    assert code == 2 and out == ""
+    assert err == "error: need finite n >= 3\n"
+
+
 def test_holder_cli(capsys):
     code, out, _ = run_cli(capsys, "holder", "--family", "butterfly",
                            "--instances", "25", "--seed", "7")
@@ -304,6 +312,20 @@ def test_simulate_cli_with_dump(capsys, tmp_path):
     assert blob["tail_estimate"]["trials"] == 20
     g, _ = parse_edge_list(dump.read_text())
     assert sorted(d for d in g.degrees().values()) == [3] * 12
+
+
+def test_simulate_cli_counts_k23_past_the_backtracking_cap(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--family", "complete-bipartite:2,3",
+                           "--n", "200", "--d", "10", "--delta", "0", "--trials", "2")
+    assert code == 0
+    assert json.loads(out)["tail_estimate"]["trials"] == 2
+
+
+def test_simulate_cli_cycle_past_the_backtracking_cap_exits_3(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--family", "cycle:3", "--n", "65",
+                             "--d", "4", "--delta", "0", "--trials", "2")
+    assert code == 3 and out == ""
+    assert "64" in err
 
 
 def test_plant_cli(capsys):

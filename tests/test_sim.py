@@ -102,6 +102,111 @@ def test_repair_path_walks_swap_factor_n_d_steps():
         assert g.degrees() == [6] * 24
 
 
+class CountingRng:
+    """A generator that records the rows of each ``permuted`` block."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = []
+
+    def permuted(self, x, axis):
+        self.blocks.append(len(x))
+        return self.rng.permuted(x, axis=axis)
+
+
+def test_block_attempts_stop_at_the_budget(monkeypatch):
+    # Blocks of 4 attempts against a budget of 10: the last block holds
+    # the 2 attempts left, so exactly 10 are drawn. At (24, 6) ten attempts
+    # essentially never give a simple pairing.
+    from regtail import sim
+    monkeypatch.setattr(sim, "PAIRING_BLOCK_ENTRIES", 4 * 24 * 6)
+    rng = CountingRng(0)
+    assert sim._first_simple_pairing(24, 6, 10, rng) == (None, 10)
+    assert rng.blocks == [4, 4, 2]
+    with pytest.raises(BudgetExhaustedError):
+        sample_regular(24, 6, 0, reject_budget=10, allow_repair=False)
+
+
+def test_block_attempts_count_up_to_the_accepted_one():
+    for budget in (1, 7, 43, 300):
+        for seed in range(20):
+            prov = sample_regular(20, 4, [seed, budget], reject_budget=budget).provenance
+            if prov["sampler"] == "pairing-rejection":
+                assert 1 <= prov["attempts"] <= budget
+            else:
+                assert prov["attempts"] == budget
+
+
+def one_at_a_time_pairing(n, d, seed, budget):
+    """The exact path with one ``rng.permutation`` and one ``np.unique`` per
+    attempt: (sorted edges, attempts) of the first simple pairing, or
+    (None, budget)."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    for attempt in range(1, budget + 1):
+        perm = rng.permutation(stubs)
+        a, b = perm[0::2], perm[1::2]
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        if not np.any(a == b) and len(np.unique(keys)) == len(keys):
+            return sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())), attempt
+    return None, budget
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True], ids=["default-blocks", "one-row-blocks"])
+def test_block_attempts_replay_the_one_at_a_time_stream(monkeypatch, one_row_blocks):
+    # Each row of rng.permuted reads the generator as one rng.permutation
+    # call does, so the blocks accept the same pairing after the same
+    # number of attempts as drawing them one at a time, at any block size.
+    from regtail import sim
+    if one_row_blocks:
+        monkeypatch.setattr(sim, "PAIRING_BLOCK_ENTRIES", 1)
+    for n, d in ((6, 2), (6, 3), (20, 4), (21, 2), (30, 5), (300, 3)):
+        for t in range(10):
+            g = sample_regular(n, d, [t, n])
+            edges, attempts = one_at_a_time_pairing(n, d, [t, n], default_reject_budget(d))
+            assert g.provenance["attempts"] == attempts, (n, d, t)
+            if edges is None:
+                assert g.provenance["sampler"] == "pairing-repair"
+            else:
+                assert sorted(g.edges()) == edges, (n, d, t)
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (20, 4), (101, 2), (1000, 3), (30, 5)])
+def test_block_sampler_is_deterministic(n, d):
+    a, b = sample_regular(n, d, [3, n]), sample_regular(n, d, [3, n])
+    assert a.rows == b.rows and a.provenance == b.provenance
+    assert a.provenance["sampler"] == "pairing-rejection"
+    assert a.degrees() == [d] * n
+    assert sample_regular(n, d, [4, n]).rows != a.rows
+
+
+def test_two_regular_six_vertex_law_is_uniform():
+    # The 70 labelled 2-regular graphs on 6 vertices are 60 six-cycles and
+    # 10 pairs of triangles, so a uniform sampler draws a six-cycle with
+    # probability 6/7; the 70 graphs must be equally likely (chi-square, 69
+    # degrees of freedom, upper 1e-6 quantile 139.8). A block here holds 3
+    # attempts and often more than one simple pairing, of which the first
+    # is kept.
+    pairs = list(combinations(range(6), 2))
+    graphs = [frozenset(es) for es in combinations(pairs, 6)
+              if all(sum(v in e for e in es) == 2 for v in range(6))]
+    assert len(graphs) == 70
+    hexagons = {es for es in graphs if not hom_count(cycle_graph(3), SimGraph.from_edges(6, es))}
+    assert len(hexagons) == 60
+    trials = 30000
+    counts = dict.fromkeys(graphs, 0)
+    for t in range(trials):
+        g = sample_regular(6, 2, [602, t])
+        assert g.provenance["sampler"] == "pairing-rejection"
+        counts[frozenset(g.edges())] += 1
+    assert len(counts) == 70
+    share = sum(counts[es] for es in hexagons) / trials
+    sigma = math.sqrt(6 / 7 * (1 / 7) / trials)
+    assert abs(share - 6 / 7) <= 4 * sigma, share
+    expected = trials / 70
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) <= 139.8
+
+
 def cubic_graphs_on_six():
     """All 70 labelled cubic graphs on 6 vertices, by their edge sets."""
     pairs = list(combinations(range(6), 2))
@@ -464,6 +569,56 @@ def test_tail_estimate_regression_fixture():
     assert est.trials == 400
     assert est.wilson95[0] <= est.estimate <= est.wilson95[1]
     assert est.hits == 81
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_PATTERNS))
+def test_dense_count_equals_hom_count_on_regular_samples(name):
+    pattern = DENSE_PATTERNS[name]
+    for n, d in ((20, 4), (24, 6), (64, 8)):
+        for t in range(3):
+            g = sample_regular(n, d, [17, t])
+            hom, _ = hom_counts_dense(pattern, g.adjacency(np.float32))
+            assert hom == hom_count(pattern, g), (n, d, t)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_PATTERNS))
+def test_tail_estimate_dense_hits_match_a_hom_count_loop(name):
+    # Per pattern, a delta near the centre of the count's distribution, so
+    # that both outcomes occur and the hits test the threshold.
+    pattern = DENSE_PATTERNS[name]
+    trials, seed = 30, 5
+    for n, d in ((20, 4), (24, 6)):
+        p = d / n
+        counts = [hom_count(pattern, sample_regular(n, d, [seed, t])) for t in range(trials)]
+        base = p ** pattern.n_edges * float(n) ** pattern.n_vertices
+        delta = sorted(counts)[trials // 2] / base - 1.0
+        est = tail_estimate(pattern, n, d, delta, trials, seed)
+        assert est.hits == sum(c >= est.threshold for c in counts), (n, d)
+        assert 0 < est.hits < trials or len(set(counts)) == 1, (n, d)
+
+
+def test_tail_estimate_dense_patterns_pass_the_backtracking_cap():
+    est = tail_estimate(complete_bipartite(2, 3), 100, 4, 0.0, 2, 1)
+    assert est.trials == 2 and 0 <= est.hits <= 2
+    with pytest.raises(CapExceededError):
+        tail_estimate(cycle_graph(3), 65, 4, 0.0, 2, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 65])
+@pytest.mark.parametrize("dtype", [bool, np.float32])
+def test_adjacency_unpacks_the_row_bitmasks(n, dtype):
+    rng = np.random.default_rng(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    g = SimGraph.from_edges(n, pairs)
+    loop = np.zeros((n, n), dtype=dtype)
+    for u, v in g.edges():
+        loop[u, v] = loop[v, u] = 1
+    a = g.adjacency(dtype)
+    assert a.dtype == np.dtype(dtype) and a.shape == (n, n)
+    assert np.array_equal(a, loop)
+    # A graph built from a matrix returns that matrix.
+    stored = SimGraph.from_bool_matrix(loop.astype(bool))
+    assert np.array_equal(stored.adjacency(dtype), loop)
 
 
 def test_wilson_interval_sane():
