@@ -7,10 +7,13 @@ applicable rate formula at a given (delta, n, p). gamma, the contributing
 subgraphs and P are the fields of one ``subgraph_census``: each row of one
 half-integral cover table of the 2-core names a subgraph; forests take a
 closed form. ``rho`` takes the census's P: it bisects z(w) on the boundary
-P = 1 + delta for a whole grid of w at once on numpy arrays, refines the
-best grid cell by a scalar golden-section search, and takes one bisection
-when P lacks w terms or z terms. The K0 minimum is the root of its
-first-order condition.
+P = 1 + delta for a whole grid of w at once on numpy arrays, but only for
+a few halvings, and finishes just the rows whose bracket can still hold
+the minimum; bisection brackets nest and rounded addition is monotone, so
+the grid minimum keeps every bit of the full bisection's. A scalar kernel,
+which takes the w powers once, bisects single points and refines the best
+grid cell by a golden-section search. P without w terms or z terms takes
+one bisection. The K0 minimum is the root of its first-order condition.
 """
 
 from __future__ import annotations
@@ -296,6 +299,19 @@ def p_polynomial(g: Graph) -> HalfExpPolynomial:
 # rho: minimize z + w/2 over the superlevel set P >= 1 + delta
 # ---------------------------------------------------------------------------
 
+_STEPS = 200  # the bisection steps of every root after its bracket is found
+_COARSE_HALVINGS = 20  # the steps every grid row of ``rho`` takes before the prune
+
+
+def _target(delta: float) -> float:
+    """1 + delta, for a positive finite delta that the sum does not round away."""
+    if not 0 < delta < math.inf:
+        raise PreconditionError("delta must be positive and finite")
+    if 1.0 + delta == 1.0:
+        raise PreconditionError(f"delta {delta!r} is too small: 1 + delta rounds to 1")
+    return 1.0 + delta
+
+
 def _bisect_increasing(f, target: float, lo: float, hi: float, tol: float = 1e-13) -> float:
     """Smallest x with f(x) >= target for a continuous increasing f."""
     if f(lo) >= target:
@@ -304,7 +320,7 @@ def _bisect_increasing(f, target: float, lo: float, hi: float, tol: float = 1e-1
         lo, hi = hi, hi * 2 if hi > 0 else 1.0
         if hi > 1e18:
             raise PreconditionError("bisection bracket blew up")
-    for _ in range(200):
+    for _ in range(_STEPS):
         mid = (lo + hi) / 2
         if f(mid) >= target:
             hi = mid
@@ -315,19 +331,62 @@ def _bisect_increasing(f, target: float, lo: float, hi: float, tol: float = 1e-1
     return hi
 
 
-def _z_roots(poly: HalfExpPolynomial, w: np.ndarray, target: float,
-             tol: float = 1e-13) -> np.ndarray:
-    """``_bisect_increasing(lambda z: poly(z, w_i), target, 0.0, 1.0, tol)``
-    for every w_i at once; inf where that bracket blows up.
+def _z_root(poly: HalfExpPolynomial, w: float, target: float, lo: float = 0.0,
+            hi: float = 1.0, steps: int = _STEPS, tol: float = 1e-13) -> float:
+    """``_bisect_increasing(lambda z: poly(z, w), target, lo, hi, tol)``,
+    stopped after ``steps`` bisection steps; inf where its bracket blows up.
 
-    Each row keeps its own bracket, doubling, stop rule and 200-step bound,
-    and retires when it stops. P is evaluated with the float operations of
+    The w powers are taken once, and each term is ``(c * z**a) * w**b``
+    summed from 0.0 in term order: the float operations of
+    ``HalfExpPolynomial.__call__``, whose skipped factors, ``z**0 == 1.0``
+    and a product with 1.0, are exact. The bisection steps evaluate P
+    inline. Given a bracket of a bisection that stopped early and its steps
+    left, it resumes that bisection.
+    """
+    terms = [(c, a, w ** b if b else 1.0) for c, a, b in poly._terms]
+
+    def p(z: float) -> float:
+        total = 0.0
+        for c, a, wb in terms:
+            total += c * z ** a * wb
+        return total
+
+    if p(lo) >= target:
+        return lo
+    while p(hi) < target:
+        lo, hi = hi, hi * 2 if hi > 0 else 1.0
+        if hi > 1e18:
+            return math.inf  # every z-term carries a w factor and w == 0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        total = 0.0
+        for c, a, wb in terms:
+            total += c * mid ** a * wb
+        if total >= target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= tol * max(1.0, hi):  # hi > lo >= 0
+            break
+    return hi
+
+
+def _z_brackets(poly: HalfExpPolynomial, w: np.ndarray, target: float, halvings: int,
+                tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets [lo, hi] of ``_z_root(poly, w_i, target)`` for every w_i
+    at once, after at most ``halvings`` bisection steps; lo == hi == the root
+    on a row that stopped by then, inf where its bracket blows up.
+
+    Each row keeps its own bracket, doubling, stop rule and step count, and
+    retires when it stops. P is evaluated with the float operations of
     ``HalfExpPolynomial.__call__`` in its term order, and its powers with
     ``np.float_power``, which calls the same C ``pow`` as Python's ``**``
     (``np.power`` may take a SIMD routine that rounds differently). So every
-    root equals the scalar bisection's, bit for bit.
+    bracket equals the scalar bisection's, bit for bit, and a live row's
+    bisection resumes from it in ``_z_root`` with ``_STEPS - halvings``
+    steps left.
     """
-    out = np.zeros(len(w))
+    lo_out, hi_out = np.zeros(len(w)), np.zeros(len(w))
     rows = np.arange(len(w))
     z_exps = {a for _, a, _ in poly._terms if a}
     w_pows = [np.float_power(w, b) if b else None for _, _, b in poly._terms]
@@ -348,7 +407,8 @@ def _z_roots(poly: HalfExpPolynomial, w: np.ndarray, target: float,
         nonlocal rows, lo, hi, w_pows
         if not done.any():
             return
-        out[rows[done]] = value[done] if isinstance(value, np.ndarray) else value
+        lo_out[rows[done]] = hi_out[rows[done]] = (
+            value[done] if isinstance(value, np.ndarray) else value)
         keep = ~done
         rows, lo, hi = rows[keep], lo[keep], hi[keep]
         w_pows = [None if x is None else x[keep] for x in w_pows]
@@ -362,15 +422,22 @@ def _z_roots(poly: HalfExpPolynomial, w: np.ndarray, target: float,
                 break
             lo, hi = np.where(short, hi, lo), np.where(short, hi * 2, hi)
             retire(hi > 1e18, math.inf)  # every z-term carries a w factor and w == 0
-        for _ in range(200):
+        for _ in range(halvings):
             if not len(rows):
                 break
             mid = (lo + hi) / 2
             above = p_at(mid) >= target
             hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
             retire(hi - lo <= tol * np.maximum(1.0, np.abs(hi)), hi)
-        out[rows] = hi
-    return out
+    lo_out[rows], hi_out[rows] = lo, hi
+    return lo_out, hi_out
+
+
+def _z_roots(poly: HalfExpPolynomial, w: np.ndarray, target: float,
+             tol: float = 1e-13) -> np.ndarray:
+    """``_z_root(poly, w_i, target, tol=tol)`` for every w_i at once: after
+    all ``_STEPS`` steps each bracket has stopped, its upper end the root."""
+    return _z_brackets(poly, w, target, _STEPS, tol)[1]
 
 
 def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
@@ -381,17 +448,22 @@ def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
     - Without w terms the optimum has w = 0, and without z terms z = 0:
       one bisection each.
     - Otherwise z(w) is bisected at 7 reference points, whose best objective
-      bounds the optimal w, and then on a 401-point grid below that bound,
-      every point at once on arrays (``_z_roots``).
+      bounds the optimal w, and then on a 401-point grid below that bound.
+    - The grid rows are bisected at once on arrays (``_z_brackets``), but
+      only for ``_COARSE_HALVINGS`` steps. Each row's root then lies in its
+      bracket [lo, hi], and its objective between fl(lo + w/2) and
+      fl(hi + w/2), as rounded addition is monotone. A live row whose lower
+      end is at most the least upper end over all rows resumes its
+      bisection to the end (``_z_root``); every other row cannot reach the
+      minimum, and keeps its lower end. So the grid minimum and its first
+      index are those of the full bisection of every row, bit for bit.
     - Golden-section search, scalar, refines the two grid cells around the
       best grid point until the bracket is no longer than tol / 10; its
       midpoint is kept unless that grid point is strictly better.
     """
-    if not 0 < delta < math.inf:
-        raise PreconditionError("delta must be positive and finite")
+    target = _target(delta)
     if poly.is_constant:
         return math.inf
-    target = 1.0 + delta
 
     if not poly.has_z_terms():
         w_star = _bisect_increasing(lambda w: poly(0.0, w), target, 0.0, 1.0)
@@ -399,17 +471,10 @@ def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
     if not poly.has_w_terms():
         return _bisect_increasing(lambda z: poly(z, 0.0), target, 0.0, 1.0)
 
-    def objectives(ws: np.ndarray) -> np.ndarray:
-        return _z_roots(poly, ws, target) + ws / 2
-
     def objective(w: float) -> float:
-        try:
-            z = _bisect_increasing(lambda z: poly(z, w), target, 0.0, 1.0)
-        except PreconditionError:
-            z = math.inf  # every z-term carries a w factor and w == 0
-        return z + w / 2
+        return _z_root(poly, w, target) + w / 2
 
-    base = float(objectives(np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])).min())
+    base = min(objective(w) for w in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0))
     w_hi = 2.0 * base  # any optimum satisfies w <= 2 rho <= 2 * base
     if poly.has_pure_w_terms():
         w_hi = min(w_hi, _bisect_increasing(lambda w: poly(0.0, w), target, 0.0, 1.0))
@@ -417,7 +482,14 @@ def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
         return base
 
     grid = w_hi * np.arange(401) / 400
-    values = objectives(grid)
+    half = grid / 2
+    lo, hi = _z_brackets(poly, grid, target, _COARSE_HALVINGS)
+    values = lo + half  # exact on retired rows, a lower bound on live ones
+    bound = float((hi + half).min())
+    for j in np.flatnonzero((lo < hi) & (values <= bound)).tolist():
+        w = float(grid[j])
+        values[j] = _z_root(poly, w, target, float(lo[j]), float(hi[j]),
+                            _STEPS - _COARSE_HALVINGS) + w / 2
     i = int(np.argmin(values))
     a, b = float(grid[max(0, i - 1)]), float(grid[min(400, i + 1)])
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
@@ -448,9 +520,7 @@ def cycle_constant(lengths: list[int], delta: float) -> float:
     """
     if not lengths or any(l < 3 for l in lengths):
         raise PreconditionError("cycle lengths must all be >= 3")
-    if not 0 < delta < math.inf:
-        raise PreconditionError("delta must be positive and finite")
-    target = 1.0 + delta
+    target = _target(delta)
 
     def f(c: float) -> float:
         fl = math.floor(c)

@@ -83,15 +83,14 @@ class SimGraph:
         return bool(self.rows[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
+        """Each edge once as (u, v), u < v, in the order of u and then v."""
         out = []
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1)
-            v = u + 1
+        for u, row in enumerate(self.rows):
+            m = row >> (u + 1) << (u + 1)
             while m:
-                if m & 1:
-                    out.append((u, v))
-                m >>= 1
-                v += 1
+                low = m & -m
+                m ^= low
+                out.append((u, low.bit_length() - 1))
         return out
 
     @property

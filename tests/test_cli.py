@@ -93,6 +93,17 @@ def test_rate_honours_caps(capsys):
         assert report["rate"] == pytest.approx(rate, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ("rate", "--family", "complete-bipartite:3,3", "--delta", "1e-17", "--n", "1e6", "--p", "1e-3"),
+    ("rate", "--family", "cycle:5", "--delta", "1e-17", "--n", "1e6", "--p", "1e-3"),
+    ("invariants", "--family", "complete-bipartite:3,3", "--delta", "1e-16"),
+], ids=["rate-K33", "rate-C5", "invariants-K33"])
+def test_delta_lost_in_one_plus_delta_exits_2(capsys, argv):
+    # rho and the cycle constant would solve P = 1 and report 0.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "1 + delta rounds to 1" in err
+
+
 def test_rate_k7(capsys):
     # 21 edges: the census reads the 3^7 rows of one cover table.
     code, out, _ = run_cli(capsys, "rate", "--family", "complete:7", *RATE_ARGS)

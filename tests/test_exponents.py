@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtail import exponents
 from regtail.errors import CapExceededError, PreconditionError
 from regtail.exponents import (HalfExpPolynomial, classify_and_rate,
                                contributing_subgraphs, cycle_constant, gamma,
                                k0_variational_min, p_polynomial, rho,
-                               subgraph_census, _z_roots)
+                               subgraph_census, _z_brackets, _z_root, _z_roots)
 from regtail.fractional import cover_number, cover_rows, minimum_covers
 from regtail.graphons import ip_scalar
 from regtail.graphs import (Graph, butterfly, complete_bipartite,
@@ -553,6 +554,88 @@ def test_z_roots_bisect_like_the_scalar_loop_to_the_last_float():
                 return math.inf
 
         assert _z_roots(poly, w, target, tol=0.0).tolist() == [scalar_root(x) for x in w.tolist()]
+
+
+def scalar_root_oracle(poly, w, target, tol=1e-13):
+    try:
+        return bisect_oracle(lambda z: p_scalar_oracle(poly, z, w), target, 0.0, 1.0, tol=tol)
+    except PreconditionError:
+        return math.inf
+
+
+def test_z_root_bisects_like_the_scalar_loop_to_the_last_float():
+    # At tol = 0 every bisection runs to its 200-step bound, so a kernel
+    # that rounds one term differently from the scalar P shows here.
+    rng = np.random.default_rng(2506)
+    for poly in random_polynomials(20, seed=2507):
+        target = 1.0 + float(rng.exponential(3.0))
+        for w in [0.0, *rng.exponential(2.0, size=20).tolist()]:
+            assert _z_root(poly, w, target, tol=0.0) == scalar_root_oracle(poly, w, target, 0.0)
+    cases = [
+        (HalfExpPolynomial({(0, 0): 1, (2, 2): 1}), 0.0, 2.0),  # every z-term carries w
+        (HalfExpPolynomial({(0, 0): 1, (1, 0): 1, (0, 2): 1}), 2.0, 2.0),  # P(0, w) >= target
+        (HalfExpPolynomial({(0, 0): 1, (1, 0): 1, (2, 3): 1}), 0.5, 10.0),  # the bracket doubles
+    ]
+    roots = [_z_root(poly, w, target, tol=0.0) for poly, w, target in cases]
+    assert roots == [scalar_root_oracle(poly, w, target, 0.0) for poly, w, target in cases]
+    assert roots[0] == math.inf and roots[1] == 0.0 and 2.0 < roots[2] < 8.0
+
+
+def test_z_brackets_resume_to_the_full_roots():
+    # A bisection cut after any number of halvings and resumed by the
+    # scalar kernel with the steps left ends on the full root; a row that
+    # stopped by the cut holds its root at both ends.
+    rng = np.random.default_rng(2508)
+    for poly in random_polynomials(20, seed=2509):
+        w = np.concatenate([[0.0], rng.exponential(2.0, size=29)])
+        target = 1.0 + float(rng.exponential(3.0))
+        for tol in (0.0, 1e-13):
+            full = _z_roots(poly, w, target, tol).tolist()
+            for halvings in (0, 1, 20, 60):
+                lo, hi = _z_brackets(poly, w, target, halvings, tol)
+                for i, (w_i, a, b) in enumerate(zip(w.tolist(), lo.tolist(), hi.tolist())):
+                    if a == b:
+                        assert b == full[i]
+                    else:
+                        assert a < full[i] <= b
+                        assert _z_root(poly, w_i, target, a, b, exponents._STEPS - halvings, tol) == full[i]
+
+
+def test_rho_prune_finishes_the_rows_that_can_win(monkeypatch):
+    # The inputs of test_rho_equals_scalar_oracle_on_random_polynomials,
+    # which checks rho against the scalar oracle: here the grid rows that
+    # rho finishes past the coarse cut are counted and each checked
+    # against its full bisection.
+    resumed = []
+
+    def spy(poly, w, target, lo=0.0, hi=1.0, steps=exponents._STEPS, tol=1e-13):
+        z = _z_root(poly, w, target, lo, hi, steps, tol)
+        if steps < exponents._STEPS:
+            resumed.append((w, z))
+        return z
+
+    monkeypatch.setattr(exponents, "_z_root", spy)
+    finished = []
+    for poly in random_polynomials(60, seed=2501):
+        for delta in RHO_DELTAS:
+            resumed.clear()
+            rho(poly, delta)
+            finished.append(len(resumed))
+            for w, z in resumed:
+                assert z == _z_roots(poly, np.array([w]), 1.0 + delta)[0]
+    assert any(count >= 1 for count in finished)
+    assert any(count >= 2 for count in finished)
+
+
+def test_delta_lost_in_one_plus_delta_raises():
+    poly = subgraph_census(complete_bipartite(3, 3)).polynomial
+    for delta in (1e-17, 1e-16, 5e-324):
+        with pytest.raises(PreconditionError, match="rounds to 1"):
+            rho(poly, delta)
+        with pytest.raises(PreconditionError, match="rounds to 1"):
+            cycle_constant([5], delta)
+    eps = math.ulp(1.0)  # the least delta with 1 + delta > 1
+    assert rho(poly, eps) > 0 and cycle_constant([5], eps) > 0
 
 
 def test_polynomial_call_matches_term_loop():

@@ -676,6 +676,31 @@ def test_planted_comparison_w1_k0_injective():
     assert abs(out.ratio_injective / exact_inj - 1.0) < 0.30
 
 
+def edges_shift_oracle(g):
+    """The edge list by shifting each row past one vertex at a time."""
+    out = []
+    for u in range(g.n):
+        m = g.rows[u] >> (u + 1)
+        v = u + 1
+        while m:
+            if m & 1:
+                out.append((u, v))
+            m >>= 1
+            v += 1
+    return out
+
+
+def test_edges_match_the_shift_loop():
+    rng = np.random.default_rng(3101)
+    for n in (0, 1, 2, 7, 63, 64, 65, 200, 1000):
+        for density in (0.0, 0.01, 0.3, 1.0):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            g = SimGraph.from_bool_matrix(upper | upper.T)
+            assert g.edges() == edges_shift_oracle(g)
+    g = sample_regular(1000, 3, 5)
+    assert g.edges() == edges_shift_oracle(g)
+
+
 def test_simgraph_edge_list_round_trip():
     g = sample_regular(12, 3, 4)
     from regtail.graphs import parse_edge_list
