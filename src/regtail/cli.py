@@ -82,9 +82,8 @@ def _write(path: str, text: str) -> None:
 
 def _parse_caps(args) -> dict[str, int]:
     caps = {"cover": DEFAULT_COVER_CAP}
-    raw = getattr(args, "caps", None)
-    if raw:
-        for item in raw.split(","):
+    if args.caps:
+        for item in args.caps.split(","):
             key, _, value = item.partition("=")
             if key not in caps or not value.isdigit():
                 raise PreconditionError(f"bad cap {item!r}; use cover=")
@@ -306,6 +305,9 @@ def _add_graph_source(sub) -> None:
 def _add_common(sub) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_caps(sub) -> None:
     sub.add_argument("--caps", help="enumeration cap: cover= bounds the vertices of the "
                                     "pattern's 2-core and of the cover witness (3^v rows), "
                                     "e.g. cover=12")
@@ -331,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_inv)
     p_inv.add_argument("--delta", type=float)
     _add_common(p_inv)
+    _add_caps(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_rate = sub.add_parser("rate", help="dispatch the applicable rate formula")
@@ -339,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--n", type=float, required=True)
     p_rate.add_argument("--p", type=float, required=True)
     _add_common(p_rate)
+    _add_caps(p_rate)
     p_rate.set_defaults(func=cmd_rate)
 
     p_con = sub.add_parser("construct", help="convergence table for the optimal graphons")
@@ -347,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--p", type=float)
     p_con.add_argument("--p-grid", dest="p_grid")
     _add_common(p_con)
+    _add_caps(p_con)
     p_con.set_defaults(func=cmd_construct)
 
     p_chk = sub.add_parser("check-conditions", help="finite-n block-graphon condition ratios")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fractional import DEFAULT_COVER_CAP, bad_edges, cover_rows
-from .graphs import Edge, Graph, cycle_union_core, two_core
+from .graphs import Edge, Graph, cycle_union_core, is_k0, two_core
 from .graphons import ip_scalar
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -301,6 +301,7 @@ def p_polynomial(g: Graph) -> HalfExpPolynomial:
 
 _STEPS = 200  # the bisection steps of every root after its bracket is found
 _COARSE_HALVINGS = 20  # the steps every grid row of ``rho`` takes before the prune
+RHO_TOL = 1e-10  # the golden-section search of ``rho`` stops at brackets of RHO_TOL / 10
 
 
 def _target(delta: float) -> float:
@@ -440,7 +441,7 @@ def _z_roots(poly: HalfExpPolynomial, w: np.ndarray, target: float,
     return _z_brackets(poly, w, target, _STEPS, tol)[1]
 
 
-def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
+def rho(poly: HalfExpPolynomial, delta: float) -> float:
     """min of z + w/2 over z, w >= 0 with P(z, w) >= 1 + delta; inf if P == 1.
 
     P has positive coefficients, so it is coordinatewise increasing and the
@@ -458,7 +459,7 @@ def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
       minimum, and keeps its lower end. So the grid minimum and its first
       index are those of the full bisection of every row, bit for bit.
     - Golden-section search, scalar, refines the two grid cells around the
-      best grid point until the bracket is no longer than tol / 10; its
+      best grid point until the bracket is no longer than RHO_TOL / 10; its
       midpoint is kept unless that grid point is strictly better.
     """
     target = _target(delta)
@@ -494,7 +495,7 @@ def rho(poly: HalfExpPolynomial, delta: float, tol: float = 1e-10) -> float:
     a, b = float(grid[max(0, i - 1)]), float(grid[min(400, i + 1)])
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol / 10:
+    while b - a > RHO_TOL / 10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -617,24 +618,6 @@ class RateReport:
         }
 
 
-def _is_k0(g: Graph) -> bool:
-    """Structural test for the K_{2,4}-plus-an-edge pattern."""
-    if g.n_vertices != 6 or g.n_edges != 9:
-        return False
-    deg = g.degrees()
-    if sorted(deg.values()) != [2, 2, 3, 3, 4, 4]:
-        return False
-    hubs = [v for v, d in deg.items() if d == 4]
-    others = [v for v in g.vertices if v not in hubs]
-    if tuple(sorted(hubs)) in g.edges:
-        return False
-    for h in hubs:
-        if any(tuple(sorted((h, o))) not in g.edges for o in others):
-            return False
-    three = sorted(v for v, d in deg.items() if d == 3)
-    return tuple(three) in g.edges
-
-
 def _frac_exp_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{{{q}}}"
 
@@ -685,7 +668,7 @@ def classify_and_rate(g: Graph, delta: float, n: float, p: float,
     gr = census.gamma
     window, in_window, _ = _general_window(g, gr.value, n, p)
 
-    if _is_k0(core):
+    if is_k0(core):
         rate = k0_rate_formula(delta, n, p)
         return RateReport(
             "k0-special", gr.value, (18.0 * delta) ** (1.0 / 3.0) / 2.0, "k0-constant",

@@ -34,11 +34,7 @@ def _ternary_table(m: int) -> np.ndarray:
     """All vectors in {0,1,2}^m as rows, lexicographic order, int8, stored
     column by column: each column is contiguous, and so is the m x 3^m
     transpose."""
-    idx = np.arange(3 ** m, dtype=np.int64)
-    out = np.empty((m, 3 ** m), dtype=np.int8)
-    for j in range(m):
-        out[j] = (idx // 3 ** (m - 1 - j)) % 3
-    return out.T
+    return np.indices((3,) * m, dtype=np.int8).reshape(m, 3 ** m).T
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import CapExceededError, InfeasibleConstructionError, PreconditionError
 from .graphs import Graph
 
-DEFAULT_BLOCK_TERM_CAP = 10 ** 7
+DEFAULT_BLOCK_TERM_CAP = 10 ** 7  # block assignments k^v that hom_density may sum
+CLAMP_TOL = 1e-12  # how far outside [0, 1] a block value may lie and be clamped
 
 
 def ip_scalar(x: float, p: float) -> float:
@@ -48,10 +49,10 @@ class BlockGraphon:
     clamp_residual: float = 0.0
 
     @classmethod
-    def create(cls, sizes: Sequence[float], values, labels: Optional[list[str]] = None,
-               clamp_tol: float = 1e-12) -> "BlockGraphon":
+    def create(cls, sizes: Sequence[float], values,
+               labels: Optional[list[str]] = None) -> "BlockGraphon":
         """Validate and build; out-of-range values are clamped only within
-        clamp_tol, with the residual recorded, and rejected beyond it."""
+        ``CLAMP_TOL``, with the residual recorded, and rejected beyond it."""
         s = np.asarray(sizes, dtype=float)
         v = np.array(values, dtype=float)
         if s.ndim != 1 or np.any(s <= 0):
@@ -61,7 +62,7 @@ class BlockGraphon:
         if v.shape != (len(s), len(s)) or not np.array_equal(v, v.T):
             raise PreconditionError("values must be a symmetric k x k matrix")
         residual = float(max(np.max(-v, initial=0.0), np.max(v - 1.0, initial=0.0), 0.0))
-        if residual > clamp_tol:
+        if residual > CLAMP_TOL:
             i, j = np.unravel_index(int(np.argmax(np.maximum(-v, v - 1.0))), v.shape)
             raise InfeasibleConstructionError(
                 f"block value w[{i},{j}] = {v[i, j]!r} outside [0, 1]")
@@ -200,9 +201,10 @@ def _measured_edges(k_graph: Graph, sizes: np.ndarray, values: np.ndarray) -> li
     return ops
 
 
-def hom_density(k_graph: Graph, w: BlockGraphon, cap: int = DEFAULT_BLOCK_TERM_CAP) -> float:
-    """Hom(K, W): integral over vertex placements of the edge-value product."""
-    if w.k ** max(k_graph.n_vertices, 1) > cap:
+def hom_density(k_graph: Graph, w: BlockGraphon) -> float:
+    """Hom(K, W): integral over vertex placements of the edge-value product;
+    above ``DEFAULT_BLOCK_TERM_CAP`` block assignments k^v, CapExceededError."""
+    if w.k ** max(k_graph.n_vertices, 1) > DEFAULT_BLOCK_TERM_CAP:
         raise CapExceededError("block assignment count exceeds cap")
     return float(_contract(k_graph, _measured_edges(k_graph, w.sizes, w.values)))
 
@@ -400,9 +402,9 @@ def classify_blocks(w: BlockGraphon, p: float, thresholds: ConditionThresholds,
 
 
 def check_conditions(w: BlockGraphon, k_graph: Graph, n: float, p: float,
-                     thresholds: Optional[ConditionThresholds] = None,
-                     cap: int = DEFAULT_BLOCK_TERM_CAP) -> ConditionReport:
-    """Evaluate the ten block-graphon conditions as ratios plus pass flags."""
+                     thresholds: Optional[ConditionThresholds] = None) -> ConditionReport:
+    """Evaluate the ten block-graphon conditions as ratios plus pass flags.
+    ``hom_density``'s cap on the k^v block assignments holds here too."""
     if not (math.isfinite(n) and n >= 3):
         raise PreconditionError("need finite n >= 3")
     thr = thresholds or ConditionThresholds()
@@ -422,7 +424,7 @@ def check_conditions(w: BlockGraphon, k_graph: Graph, n: float, p: float,
                                    m_dom >= 1.0 - p - 1e-12,
                                    threshold="largest block >= 1 - p"))
 
-    hom = hom_density(k_graph, w, cap)
+    hom = hom_density(k_graph, w)
     excess = hom / p ** e_k - 1.0
     results.append(ConditionResult(3, _CONDITION_NAMES[3], {"excess": excess},
                                    excess >= thr.min_excess,

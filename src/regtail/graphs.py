@@ -309,6 +309,16 @@ def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
     return (a, b)
 
 
+def is_k0(g: Graph) -> bool:
+    """Whether g is K0: a K_{2,4} plus one edge between two vertices of its
+    four-side, which are then the only vertices of degree 3."""
+    three = [v for v, k in g.degrees().items() if k == 3]
+    if g.n_edges != 9 or len(three) != 2:
+        return False
+    xy = _norm_edge(*three)
+    return xy in g.edges and is_complete_bipartite(g.subgraph(g.edges - {xy})) == (2, 4)
+
+
 def describe_subgraph(g: Graph, parent: Optional[Graph] = None) -> str:
     """Short display name for a subgraph (used in reports)."""
     if g.is_empty:

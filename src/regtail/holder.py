@@ -37,6 +37,8 @@ MAX_RESOLUTION = 24
 # float64, so a block's stack stays in cache and flop-bound dense patterns
 # (K5-K7) get small blocks.
 BLOCK_ENTRIES = 1 << 15
+REL_SLACK = 1e-9  # an instance passes iff RHS - LHS >= -REL_SLACK * max(1, |RHS|)
+MAX_FAILURE_DUMPS = 3  # violating instances a batch serializes in its report
 
 
 def _check_grid(g: Graph, resolution: int) -> None:
@@ -214,22 +216,20 @@ class VerifyResult:
     passed: bool
 
 
-def _verify(inst: HolderInstance, factors: list[_Factor], rel_slack: float,
-            plan: Optional[tuple] = None):
+def _verify(inst: HolderInstance, factors: list[_Factor], plan: Optional[tuple] = None):
     """(lhs, rhs, margin, passed) of a validated block."""
     lhs = _lhs(inst, plan)
     rhs = _rhs(inst, factors)
     margin = rhs - lhs
-    return lhs, rhs, margin, margin >= -rel_slack * np.maximum(1.0, np.abs(rhs))
+    return lhs, rhs, margin, margin >= -REL_SLACK * np.maximum(1.0, np.abs(rhs))
 
 
-def verify_instance(inst: HolderInstance, wp: WeightPair,
-                    rel_slack: float = 1e-9) -> VerifyResult:
-    """margin = RHS - LHS; passes iff margin >= -rel_slack * max(1, |RHS|)."""
+def verify_instance(inst: HolderInstance, wp: WeightPair) -> VerifyResult:
+    """margin = RHS - LHS; passes iff margin >= -REL_SLACK * max(1, |RHS|)."""
     block = inst.as_block()
     block.validate()
     wp.validate(inst.graph)
-    lhs, rhs, margin, passed = _verify(block, _rhs_factors(inst.graph, wp), rel_slack)
+    lhs, rhs, margin, passed = _verify(block, _rhs_factors(inst.graph, wp))
     return VerifyResult(lhs.item(), rhs.item(), margin.item(), passed.item())
 
 
@@ -280,8 +280,7 @@ def _draw_block(g: Graph, seed: int, indices: range, resolution: int) -> HolderI
                           {e: kernels[:, k] for k, e in enumerate(g.sorted_edges())}, resolution)
 
 
-def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8,
-                 rel_slack: float = 1e-9, max_failure_dumps: int = 3) -> dict:
+def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8) -> dict:
     """Run seeded instances with generated admissible weights; count violations.
 
     Instance i reads its L = 2v + e r^2 doubles from one Philox stream keyed
@@ -290,8 +289,9 @@ def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8,
     that stream. The instances are evaluated in blocks of at most
     ``BLOCK_ENTRIES`` stacked kernel entries, each contracted with one plan
     built here for the pattern and resolution; the report does not depend
-    on the block size. Violating instances (there should be none) are
-    serialized inline so a failure can be replayed from the report alone.
+    on the block size. An instance passes as in ``verify_instance``. The
+    first ``MAX_FAILURE_DUMPS`` violating instances (there should be none)
+    are serialized inline so a failure can be replayed from the report alone.
     """
     if n_instances < 1:
         raise PreconditionError("need at least one instance")
@@ -309,11 +309,11 @@ def verify_batch(g: Graph, n_instances: int, seed: int, resolution: int = 8,
         block.validate()
         # An edgeless pattern has nothing to stack and gives 0-d results.
         lhs, rhs, margin, passed = (np.broadcast_to(x, (len(indices),))
-                                    for x in _verify(block, factors, rel_slack, plan))
+                                    for x in _verify(block, factors, plan))
         worst = min(worst, float(margin.min()))
         failed = np.flatnonzero(~passed)
         violations += len(failed)
-        for j in failed[:max(0, max_failure_dumps - len(failures))]:
+        for j in failed[:max(0, MAX_FAILURE_DUMPS - len(failures))]:
             failures.append({"instance_index": start + int(j), "lhs": float(lhs[j]),
                              "rhs": float(rhs[j]), "bundle": block.row(j).to_jsonable()})
     return {"graph": g.name or repr(g), "instances": n_instances, "seed": seed,

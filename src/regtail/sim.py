@@ -36,8 +36,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import BudgetExhaustedError, CapExceededError, PreconditionError
-from .exponents import _is_k0
-from .graphs import Edge, Graph, components, is_complete_bipartite
+from .graphs import Graph, components, is_complete_bipartite, is_k0
 from .graphons import BlockGraphon, hom_density
 
 HOM_VERTEX_CAP = 6
@@ -46,6 +45,7 @@ CYCLE_POWER_CAP = 12
 DENSE_N_CAP = 1 << 24  # float32 holds every codegree below 2^24 exactly
 K0_ENTRY_CAP = 1 << 20  # entries per edge chunk and per gather in the K0 counter
 PAIRING_BLOCK_ENTRIES = 1 << 16  # stubs per block of pairing attempts
+WILSON_Z = 1.959963984540054  # the standard normal 0.975 quantile, for 95% intervals
 
 
 @dataclass
@@ -181,17 +181,15 @@ def _repair_attempt(n: int, d: int, rng: np.random.Generator) -> Optional[list[t
     return sorted(edges)
 
 
-def _swap_walk(g: SimGraph, steps: int, rng: np.random.Generator) -> int:
-    """Double-edge swaps {ab, cd} -> {ac, bd}; invalid proposals are skipped.
+def _swap_walk(edge_list: list[tuple[int, int]], steps: int, rng: np.random.Generator) -> int:
+    """Double-edge swaps {ab, cd} -> {ac, bd} on the edges (u, v), u < v, in
+    place; invalid proposals are skipped. Returns the swaps applied.
 
     A proposal (i, j, flip) does not depend on the walk's state, so all of
     them are drawn up front, in three vectorised calls.
     """
-    if steps <= 0:
-        return 0
-    edge_list = g.edges()
     m = len(edge_list)
-    if m < 2:
+    if steps <= 0 or m < 2:
         return 0
     edge_set = set(edge_list)
     firsts = rng.integers(0, m, size=steps).tolist()
@@ -219,8 +217,6 @@ def _swap_walk(g: SimGraph, steps: int, rng: np.random.Generator) -> int:
         edge_list[i] = e1
         edge_list[j] = e2
         applied += 1
-    result = SimGraph.from_edges(g.n, edge_set)
-    g.rows = result.rows
     return applied
 
 
@@ -245,10 +241,12 @@ def default_reject_budget(d: int) -> int:
     return int(min(2000, max(50, 20.0 * math.exp(log_expected))))
 
 
-def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
-                   reject_budget: Optional[int] = None,
-                   allow_repair: bool = True) -> SimGraph:
+def sample_regular(n: int, d: int, seed, swap_factor: int = 10) -> SimGraph:
     """One d-regular graph on n vertices, deterministic in (n, d, seed).
+
+    For d > (n - 1)/2 it is the complement, still uniform, of a k-regular
+    sample drawn as below, k = n - 1 - d; the provenance's ``complement`` is
+    then true, and its ``attempts`` and swap counts are the k-regular draw's.
 
     Pairing proposals are rejected until simple; the accepted pairing is
     uniform over d-regular graphs (a configuration model conditioned on
@@ -260,42 +258,44 @@ def sample_regular(n: int, d: int, seed, swap_factor: int = 10,
     is exp(lam + lam^2), lam = (d - 1)/2, rounded up: the asymptotic
     expected number of attempts per simple pairing. It is capped by
     ``PAIRING_BLOCK_ENTRIES`` stubs per block and by the attempts left in
-    ``reject_budget``, so no more than ``reject_budget`` attempts are ever
-    drawn, and none when it is 0 (every d >= 6 by default). The
-    provenance's ``attempts`` counts the attempts up to and including the
-    accepted one.
+    ``default_reject_budget(d)``, so no more attempts than that are ever
+    drawn, and none when it is 0 (every d >= 6). The provenance's
+    ``attempts`` counts the attempts up to and including the accepted one.
 
-    After ``reject_budget`` misses the repair fallback builds a simple
-    pairing greedily, flagged in the provenance as ``pairing-repair``, and
+    After the budget's misses the repair fallback builds a simple pairing
+    greedily, flagged in the provenance as ``pairing-repair``, and
     randomizes it by swap_factor * n * d double-edge swaps. The provenance
     records those steps as ``swap_steps`` (0 on the exact path) and the
-    accepted swaps as ``swaps_applied``.
+    accepted swaps as ``swaps_applied``. ``BudgetExhaustedError`` is raised
+    when 200 repair attempts all fail.
     """
     if n * d % 2 != 0:
         raise PreconditionError("n*d must be even")
     if not 0 <= d < n:
         raise PreconditionError("need 0 <= d < n")
     rng = np.random.default_rng(seed)
-    budget = default_reject_budget(d) if reject_budget is None else reject_budget
+    k = min(d, n - 1 - d)
     sampler = "pairing-rejection"
-    edges, attempts = _first_simple_pairing(n, d, budget, rng)
+    edges, attempts = _first_simple_pairing(n, k, default_reject_budget(k), rng)
     if edges is None:
-        if not allow_repair:
-            raise BudgetExhaustedError(f"no simple pairing in {budget} attempts")
         sampler = "pairing-repair"
         for _ in range(200):
-            edges = _repair_attempt(n, d, rng)
+            edges = _repair_attempt(n, k, rng)
             if edges is not None:
                 break
         if edges is None:
             raise BudgetExhaustedError("repair fallback failed to complete a pairing")
     # The swap chain keeps the uniform law stationary, so it adds nothing to
     # an accepted pairing; only a repaired one needs mixing.
-    steps = swap_factor * n * d if sampler == "pairing-repair" else 0
+    steps = swap_factor * n * k if sampler == "pairing-repair" else 0
+    applied = _swap_walk(edges, steps, rng)
     g = SimGraph.from_edges(n, edges, {"sampler": sampler, "seed": seed,
                                        "attempts": attempts, "n": n, "d": d,
-                                       "swap_steps": steps})
-    g.provenance["swaps_applied"] = _swap_walk(g, steps, rng)
+                                       "swap_steps": steps, "swaps_applied": applied,
+                                       "complement": k < d})
+    if k < d:
+        full = (1 << n) - 1
+        g.rows = [full ^ (1 << u) ^ row for u, row in enumerate(g.rows)]
     if g.degrees() != [d] * n:
         raise PreconditionError("internal error: sample is not d-regular")
     return g
@@ -453,7 +453,7 @@ def _dense_kind(pattern: Graph) -> Optional[str]:
     sides = is_complete_bipartite(pattern)
     if sides is not None and 2 in sides:
         return "k2m"
-    return "k0" if _is_k0(pattern) else None
+    return "k0" if is_k0(pattern) else None
 
 
 def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[int, int]:
@@ -548,7 +548,7 @@ class PStarSpec:
     masked (important) block pairs and staying at p elsewhere.
 
     The model it samples is therefore not W itself but W*: W on the masked
-    pairs (by default, those off the dominant block where W differs from p)
+    pairs (from ``from_graphon``, those off the dominant block where W differs from p)
     and p on every other pair. Its limit is Hom(K, W*), which agrees with Hom(K, W) as p -> 0
     and for a constant graphon.
     """
@@ -560,21 +560,19 @@ class PStarSpec:
     mask: np.ndarray           # boolean (k, k); only non-dominant pairs
 
     @classmethod
-    def from_graphon(cls, w: BlockGraphon, n: int, p: float,
-                     mask: Optional[np.ndarray] = None) -> "PStarSpec":
+    def from_graphon(cls, w: BlockGraphon, n: int, p: float) -> "PStarSpec":
         k = w.k
         cum = np.concatenate([[0.0], np.cumsum(w.sizes)])
         boundaries = [int(math.floor(n * c + 1e-9)) for c in cum]
         boundaries[-1] = n
         if np.any(np.diff(boundaries) <= 0):
             raise PreconditionError("a vertex class came out empty; n too small")
-        if mask is None:
-            dom = w.dominant_block()
-            mask = np.zeros((k, k), dtype=bool)
-            for i in range(k):
-                for j in range(k):
-                    mask[i, j] = i != dom and j != dom and abs(w.values[i, j] - p) > 1e-12 * p
-        return cls(n, p, boundaries, w.values.copy(), np.asarray(mask, bool))
+        dom = w.dominant_block()
+        mask = np.zeros((k, k), dtype=bool)
+        for i in range(k):
+            for j in range(k):
+                mask[i, j] = i != dom and j != dom and abs(w.values[i, j] - p) > 1e-12 * p
+        return cls(n, p, boundaries, w.values.copy(), mask)
 
 
 def _bernoulli_positions(rng: np.random.Generator, q: float, total: int) -> np.ndarray:
@@ -652,7 +650,9 @@ def sample_gnp(n: int, p: float, seed) -> SimGraph:
 # Monte Carlo tail estimate and planted comparison
 # ---------------------------------------------------------------------------
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of hits / trials, z = ``WILSON_Z``."""
+    z = WILSON_Z
     if trials == 0:
         return (0.0, 1.0)
     phat = hits / trials

@@ -142,6 +142,32 @@ def test_cover_cap_bounds_the_scanned_two_core(capsys, tmp_path):
     assert (report["classification"], report["gamma"]) == ("rho-exact", "1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--family", "k0"],
+    ["rate", "--family", "k0", *RATE_ARGS],
+    ["construct", "--family", "k0", "--w0", "--gamma", "1", "--z", "1", "--w", "0", "--p", "1e-3"]],
+    ids=["invariants", "rate", "construct"])
+def test_caps_bound_the_commands_that_read_them(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--caps", "cover=5")
+    assert code == 3 and out == "" and "cover cap 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-conditions", "--family", "k0", "--w1", "--n", "1e9", "--p", "1e-3"],
+    ["holder", "--family", "k0", "--instances", "5"],
+    ["simulate", "--family", "cycle:3", "--n", "12", "--d", "3", "--delta", "0", "--trials", "2"],
+    ["plant", "--family", "complete-bipartite:2,3", "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
+     "--n", "300", "--p", "0.05", "--trials", "2"]],
+    ids=["check-conditions", "holder", "simulate", "plant"])
+def test_caps_is_a_usage_error_where_nothing_reads_it(capsys, argv):
+    for caps in ("cover=5", "garbage=x"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--caps", caps])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --caps" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
 def test_matching_cap_is_gone(capsys):
     # Bad edges and cover numbers come from matchings, and the census reads
     # cover rows, so no cap bounds the edges of a matching solve or a scan.

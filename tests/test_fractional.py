@@ -1,11 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regtail.errors import CapExceededError, PreconditionError
-from regtail.fractional import (EdgeWeightVector, bad_edges, cover_number,
+from regtail.fractional import (EdgeWeightVector, _ternary_table, bad_edges, cover_number,
                                 frac_vertex_cover_number, matching_to_cover,
                                 max_frac_matching, min_frac_edge_cover,
                                 strict_weight_pair, valid_subsets, weight_pair)
@@ -229,3 +230,19 @@ def test_witness_json_shapes(k23):
     assert set(blob) == {"vertex_weights", "total"}
     matching = max_frac_matching(k23)[1].to_jsonable()
     assert set(matching) == {"role", "edge_weights", "total"}
+
+
+def ternary_digit_oracle(m):
+    """{0,1,2}^m in lexicographic order, one base-3 digit column at a time."""
+    idx = np.arange(3 ** m, dtype=np.int64)
+    out = np.empty((m, 3 ** m), dtype=np.int8)
+    for j in range(m):
+        out[j] = (idx // 3 ** (m - 1 - j)) % 3
+    return out.T
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_ternary_table_matches_the_digit_loop(m):
+    table = _ternary_table(m)
+    assert table.dtype == np.int8 and table.flags.f_contiguous
+    assert np.array_equal(table, ternary_digit_oracle(m))

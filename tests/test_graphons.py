@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from regtail import graphons
 from regtail.errors import (CapExceededError, InfeasibleConstructionError,
                             PreconditionError)
 from regtail.exponents import subgraph_census
@@ -349,7 +350,7 @@ def test_block_graphon_validation():
         BlockGraphon.create([0.5, 0.5], [[0.1, 0.2], [0.3, 0.1]])  # asymmetric
     with pytest.raises(InfeasibleConstructionError):
         BlockGraphon.create([1.0], [[1.5]])
-    w = BlockGraphon.create([1.0], [[1.0 + 1e-14]], clamp_tol=1e-12)
+    w = BlockGraphon.create([1.0], [[1.0 + 1e-14]])  # within CLAMP_TOL = 1e-12
     assert w.values[0, 0] == 1.0 and w.clamp_residual > 0
 
 
@@ -387,10 +388,11 @@ def test_conditions_w1_mid_block_somewhat_important():
     assert 0.0 < w1_mid_value(1.0, p) < 1.0
 
 
-def test_conditions_indeterminate_above_exp_minus_e():
+def test_conditions_indeterminate_above_exp_minus_e(monkeypatch):
     p = 0.1  # logloglog(1/p) has no usable sign here
+    monkeypatch.setattr(graphons, "CLAMP_TOL", 1.0)
     w = BlockGraphon.create([0.05, 0.95], [[0.9, 0.05 * 0.9 / 0.95],
-                                           [0.05 * 0.9 / 0.95, 0.1]], clamp_tol=1.0)
+                                           [0.05 * 0.9 / 0.95, 0.1]])
     report = check_conditions(w, cycle_graph(3), 1e6, p)
     assert {r.number: r for r in report.results}[6].passed is None
 
@@ -427,7 +429,8 @@ def test_conditions_7_8_match_assignment_loop():
     assert assert_conditions_7_8_match_loop(w, cycle_graph(4), 1e-3, everything) == (False, False)
 
 
-def test_conditions_respect_block_term_cap():
+def test_conditions_respect_block_term_cap(monkeypatch):
     # K0 on W1 has 3^6 = 729 block assignments.
+    monkeypatch.setattr(graphons, "DEFAULT_BLOCK_TERM_CAP", 100)
     with pytest.raises(CapExceededError):
-        check_conditions(build_w1(4.0, 1.0, 1e-3), k0_graph(), 1e9, 1e-3, cap=100)
+        check_conditions(build_w1(4.0, 1.0, 1e-3), k0_graph(), 1e9, 1e-3)

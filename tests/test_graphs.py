@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from regtail.errors import EdgeListParseError, PreconditionError
 from regtail.graphs import (Graph, butterfly, complete_bipartite, cycle_graph,
                             cycle_union, cycle_union_core, delta_star,
-                            is_forest, k0_graph, make_named, parse_edge_list,
+                            is_forest, is_k0, k0_graph, make_named, parse_edge_list,
                             two_core)
 from conftest import small_corpus
 
@@ -125,3 +126,31 @@ def test_delta_star_edge_count_bound():
     for g in small_corpus():
         if g.n_edges >= 2:
             assert 2 * delta_star(g) <= g.n_edges + 1
+
+
+def is_k0_degree_oracle(g):
+    """K0 by degrees: hubs of degree 4, not adjacent, each adjacent to the
+    four others, and the two vertices of degree 3 adjacent."""
+    if g.n_vertices != 6 or g.n_edges != 9:
+        return False
+    deg = g.degrees()
+    if sorted(deg.values()) != [2, 2, 3, 3, 4, 4]:
+        return False
+    hubs = [v for v, d in deg.items() if d == 4]
+    others = [v for v in g.vertices if v not in hubs]
+    if tuple(sorted(hubs)) in g.edges:
+        return False
+    for h in hubs:
+        if any(tuple(sorted((h, o))) not in g.edges for o in others):
+            return False
+    three = sorted(v for v, d in deg.items() if d == 3)
+    return tuple(three) in g.edges
+
+
+def test_is_k0_matches_the_degree_oracle_on_all_nine_edge_graphs():
+    # C(15, 9) = 5005 edge sets on six vertices; K0 has 6!/8 = 90 labellings.
+    graphs = [Graph(es) for es in combinations(combinations(range(6), 2), 9)]
+    assert len(graphs) == 5005
+    assert [is_k0(g) for g in graphs] == [is_k0_degree_oracle(g) for g in graphs]
+    assert sum(map(is_k0, graphs)) == 90
+    assert is_k0(k0_graph()) and not is_k0(complete_bipartite(2, 4))

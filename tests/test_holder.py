@@ -102,9 +102,12 @@ def from_bundle(bundle):
     return HolderInstance(g, boxes, kernels, bundle["resolution"])
 
 
-def every_instance(g, n, seed, **kwargs):
+def every_instance(monkeypatch, g, n, seed, **kwargs):
     """verify_batch with every instance failing, so that all are dumped."""
-    return verify_batch(g, n, seed, rel_slack=-10.0, max_failure_dumps=n, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(holder, "REL_SLACK", -10.0)
+        m.setattr(holder, "MAX_FAILURE_DUMPS", n)
+        return verify_batch(g, n, seed, **kwargs)
 
 
 def constant_instance(g, constants, boxes=None, r=4):
@@ -242,10 +245,10 @@ ORACLE_CASES = {**{name: (g, 4) for name, g in SUITE.items()},
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
-def test_batch_matches_oracles(name):
+def test_batch_matches_oracles(name, monkeypatch):
     g, r = ORACLE_CASES[name]
     wp = WeightPair.generate(g)
-    out = every_instance(g, 12, 5, resolution=r)
+    out = every_instance(monkeypatch, g, 12, 5, resolution=r)
     assert [f["instance_index"] for f in out["failures"]] == list(range(12))
     margins = []
     for f in out["failures"]:
@@ -288,7 +291,8 @@ def test_batch_report_does_not_depend_on_block_size(name, monkeypatch):
     for size in (None, 1, 7):
         if size is not None:
             monkeypatch.setattr(holder, "BLOCK_ENTRIES", size * g.n_edges * r * r)
-        reports[size] = (verify_batch(g, 30, 2, resolution=r), every_instance(g, 30, 2, resolution=r))
+        reports[size] = (verify_batch(g, 30, 2, resolution=r),
+                          every_instance(monkeypatch, g, 30, 2, resolution=r))
     assert reports[1] == reports[None]
     assert reports[7] == reports[None]
 
@@ -307,10 +311,11 @@ def test_batch_builds_one_plan(monkeypatch):
     assert out["violations"] == 0 and plans == [(k0_graph(), 8)]
 
 
-def test_failure_dumps_replay():
+def test_failure_dumps_replay(monkeypatch):
     g = complete_bipartite(2, 3)
     wp = WeightPair.generate(g)
-    out = verify_batch(g, 5, 11, rel_slack=-10.0)
+    monkeypatch.setattr(holder, "REL_SLACK", -10.0)
+    out = verify_batch(g, 5, 11)
     assert out["violations"] == 5
     assert [f["instance_index"] for f in out["failures"]] == [0, 1, 2]
     for f in out["failures"]:
@@ -342,16 +347,16 @@ def test_instance_shapes_are_checked():
         block.validate()
 
 
-def test_slack_is_relative_to_max_of_one_and_rhs():
+def test_slack_is_relative_to_max_of_one_and_rhs(monkeypatch):
     g = complete_bipartite(2, 3)
     wp = WeightPair.generate(g)
     res = verify_instance(random_instance(g, np.random.default_rng(4)), wp)
     assert 0 < res.margin and abs(res.rhs) < 0.5
-    # Below |RHS| = 1 the slack is absolute: -rel_slack * 1.
-    assert not verify_instance(random_instance(g, np.random.default_rng(4)), wp,
-                               rel_slack=-2 * res.margin).passed
-    assert verify_instance(random_instance(g, np.random.default_rng(4)), wp,
-                           rel_slack=-0.5 * res.margin).passed
+    # Below |RHS| = 1 the slack is absolute: -REL_SLACK * 1.
+    monkeypatch.setattr(holder, "REL_SLACK", -2 * res.margin)
+    assert not verify_instance(random_instance(g, np.random.default_rng(4)), wp).passed
+    monkeypatch.setattr(holder, "REL_SLACK", -0.5 * res.margin)
+    assert verify_instance(random_instance(g, np.random.default_rng(4)), wp).passed
 
 
 def test_batch_no_violations_small():

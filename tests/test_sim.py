@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations, permutations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtail import sim
 from regtail.errors import BudgetExhaustedError, CapExceededError, PreconditionError
 from regtail.graphs import (Graph, complete_bipartite, complete_graph, cycle_graph,
                             k0_graph)
@@ -58,8 +60,14 @@ def test_sampler_validation():
         sample_regular(5, 3, 0)  # odd n*d
     with pytest.raises(PreconditionError):
         sample_regular(4, 4, 0)  # d >= n
-    with pytest.raises(BudgetExhaustedError):
-        sample_regular(24, 6, 0, reject_budget=1, allow_repair=False)
+
+
+def test_failed_repair_raises_budget_exhausted(monkeypatch):
+    # One pairing attempt at (24, 6), and a repair that never completes.
+    monkeypatch.setattr(sim, "default_reject_budget", lambda d: 1)
+    monkeypatch.setattr(sim, "_repair_attempt", lambda n, d, rng: None)
+    with pytest.raises(BudgetExhaustedError, match="repair fallback failed"):
+        sample_regular(24, 6, 0)
 
 
 def test_sampler_determinism():
@@ -80,9 +88,19 @@ def test_reject_budget_at_high_degree():
     # exp(lam + lam^2), lam = (d - 1)/2, overflows a float from d = 54 on.
     assert [default_reject_budget(d) for d in range(7)] == [50, 50, 50, 147, 850, 2000, 0]
     assert [default_reject_budget(d) for d in (53, 54, 100, 10 ** 6)] == [0, 0, 0, 0]
+    # K64 is the complement of the empty graph, which the exact path draws.
     g = sample_regular(64, 63, 5)
-    assert g.provenance["sampler"] == "pairing-repair"
+    assert g.provenance["sampler"] == "pairing-rejection" and g.provenance["complement"]
     assert g.degrees() == [63] * 64
+
+
+@pytest.mark.parametrize("n, d", [(64, d) for d in range(54, 64)] + [(56, 54)])
+def test_high_degree_samples_are_complements(n, d):
+    # The repair path alone could not complete a pairing here.
+    for seed in range(3):
+        g = sample_regular(n, d, seed)
+        assert g.degrees() == [d] * n and g.provenance["complement"]
+        assert not any(g.rows[u] >> u & 1 for u in range(n))
 
 
 def test_exact_path_skips_the_swap_walk():
@@ -102,6 +120,74 @@ def test_repair_path_walks_swap_factor_n_d_steps():
         assert g.degrees() == [6] * 24
 
 
+def swap_walk_oracle(g, steps, rng):
+    """The swap walk as it ran on a built graph: it read the edges back from
+    the rows, walked them, and rebuilt the rows from the final edge set."""
+    if steps <= 0:
+        return 0
+    edge_list = g.edges()
+    m = len(edge_list)
+    if m < 2:
+        return 0
+    edge_set = set(edge_list)
+    firsts = rng.integers(0, m, size=steps).tolist()
+    seconds = rng.integers(0, m, size=steps).tolist()
+    flips = rng.integers(0, 2, size=steps).tolist()
+    applied = 0
+    for i, j, flip in zip(firsts, seconds, flips):
+        if i == j:
+            continue
+        a, b = edge_list[i]
+        c, d = edge_list[j]
+        if flip:
+            c, d = d, c
+        if a == c or b == d:
+            continue
+        e1 = (a, c) if a < c else (c, a)
+        e2 = (b, d) if b < d else (d, b)
+        if e1 in edge_set or e2 in edge_set or e1 == e2:
+            continue
+        edge_set.discard(edge_list[i])
+        edge_set.discard(edge_list[j])
+        edge_set.add(e1)
+        edge_set.add(e2)
+        edge_list[i] = e1
+        edge_list[j] = e2
+        applied += 1
+    g.rows = SimGraph.from_edges(g.n, edge_set).rows
+    return applied
+
+
+def rebuild_flow_oracle(n, d, seed, swap_factor=10):
+    """sample_regular along the flow pairing -> graph -> edges -> walk ->
+    graph, with the complement taken from a second graph."""
+    rng = np.random.default_rng(seed)
+    k = min(d, n - 1 - d)
+    sampler = "pairing-rejection"
+    edges, attempts = sim._first_simple_pairing(n, k, sim.default_reject_budget(k), rng)
+    if edges is None:
+        sampler = "pairing-repair"
+        edges = next(filter(None, (sim._repair_attempt(n, k, rng) for _ in range(200))))
+    steps = swap_factor * n * k if sampler == "pairing-repair" else 0
+    g = SimGraph.from_edges(n, edges, {"sampler": sampler, "seed": seed, "attempts": attempts,
+                                       "n": n, "d": d, "swap_steps": steps})
+    g.provenance["swaps_applied"] = swap_walk_oracle(g, steps, rng)
+    g.provenance["complement"] = k < d
+    if k < d:
+        g.rows = SimGraph.from_edges(n, complement_edges(g)).rows
+    return g
+
+
+@pytest.mark.parametrize("n, d, budget", [(24, 6, None), (500, 20, None), (6, 3, None), (6, 3, 0)])
+def test_swap_walk_on_the_pairing_matches_the_rebuild_flow(n, d, budget, monkeypatch):
+    # (24, 6) and (500, 20) take the repair path; (6, 3) takes it at budget 0.
+    if budget is not None:
+        monkeypatch.setattr(sim, "default_reject_budget", lambda d: budget)
+    for seed in range(3):
+        g, want = sample_regular(n, d, [seed, n]), rebuild_flow_oracle(n, d, [seed, n])
+        assert g.rows == want.rows and g.provenance == want.provenance, (n, d, seed)
+
+
 class CountingRng:
     """A generator that records the rows of each ``permuted`` block."""
 
@@ -118,19 +204,21 @@ def test_block_attempts_stop_at_the_budget(monkeypatch):
     # Blocks of 4 attempts against a budget of 10: the last block holds
     # the 2 attempts left, so exactly 10 are drawn. At (24, 6) ten attempts
     # essentially never give a simple pairing.
-    from regtail import sim
     monkeypatch.setattr(sim, "PAIRING_BLOCK_ENTRIES", 4 * 24 * 6)
     rng = CountingRng(0)
     assert sim._first_simple_pairing(24, 6, 10, rng) == (None, 10)
     assert rng.blocks == [4, 4, 2]
+    monkeypatch.setattr(sim, "default_reject_budget", lambda d: 10)
+    monkeypatch.setattr(sim, "_repair_attempt", lambda n, d, rng: None)
     with pytest.raises(BudgetExhaustedError):
-        sample_regular(24, 6, 0, reject_budget=10, allow_repair=False)
+        sample_regular(24, 6, 0)
 
 
-def test_block_attempts_count_up_to_the_accepted_one():
+def test_block_attempts_count_up_to_the_accepted_one(monkeypatch):
     for budget in (1, 7, 43, 300):
+        monkeypatch.setattr(sim, "default_reject_budget", lambda d: budget)
         for seed in range(20):
-            prov = sample_regular(20, 4, [seed, budget], reject_budget=budget).provenance
+            prov = sample_regular(20, 4, [seed, budget]).provenance
             if prov["sampler"] == "pairing-rejection":
                 assert 1 <= prov["attempts"] <= budget
             else:
@@ -157,18 +245,23 @@ def test_block_attempts_replay_the_one_at_a_time_stream(monkeypatch, one_row_blo
     # Each row of rng.permuted reads the generator as one rng.permutation
     # call does, so the blocks accept the same pairing after the same
     # number of attempts as drawing them one at a time, at any block size.
-    from regtail import sim
+    # (6, 3) draws the 2-regular complement.
     if one_row_blocks:
         monkeypatch.setattr(sim, "PAIRING_BLOCK_ENTRIES", 1)
     for n, d in ((6, 2), (6, 3), (20, 4), (21, 2), (30, 5), (300, 3)):
+        k = min(d, n - 1 - d)
         for t in range(10):
             g = sample_regular(n, d, [t, n])
-            edges, attempts = one_at_a_time_pairing(n, d, [t, n], default_reject_budget(d))
+            edges, attempts = one_at_a_time_pairing(n, k, [t, n], default_reject_budget(k))
             assert g.provenance["attempts"] == attempts, (n, d, t)
             if edges is None:
                 assert g.provenance["sampler"] == "pairing-repair"
             else:
-                assert sorted(g.edges()) == edges, (n, d, t)
+                assert sorted(g.edges() if k == d else complement_edges(g)) == edges, (n, d, t)
+
+
+def complement_edges(g):
+    return [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
 
 
 @pytest.mark.parametrize("n, d", [(6, 2), (20, 4), (101, 2), (1000, 3), (30, 5)])
@@ -214,15 +307,17 @@ def cubic_graphs_on_six():
             if all(sum(v in e for e in es) == 3 for v in range(6))]
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"reject_budget": 0}],
-                         ids=["exact-path", "repair-path"])
-def test_cubic_six_vertex_law_is_uniform(kwargs):
+@pytest.mark.parametrize("budget", [None, 0], ids=["exact-path", "repair-path"])
+def test_cubic_six_vertex_law_is_uniform(budget, monkeypatch):
     # The 70 labelled cubic graphs on 6 vertices are 60 prisms (with two
     # triangles) and 10 copies of K3,3, so a uniform sampler draws a prism
     # with probability 6/7. Both paths must match it within 4 sigma, and the
     # 70 labelled graphs must be equally likely (chi-square, 69 degrees of
-    # freedom, upper 1e-6 quantile 139.8). At 30000 samples the repair path
-    # without its walk fails the share check (0.846 here, 5.6 sigma low).
+    # freedom, upper 1e-6 quantile 139.8). Each sample is the complement of
+    # a 2-regular one; at 30000 samples the repair path without its walk
+    # fails the share check (0.692 here, 82 sigma low).
+    if budget is not None:
+        monkeypatch.setattr(sim, "default_reject_budget", lambda d: budget)
     graphs = cubic_graphs_on_six()
     assert len(graphs) == 70
     prisms = {es for es in graphs if hom_count(cycle_graph(3), SimGraph.from_edges(6, es))}
@@ -230,7 +325,8 @@ def test_cubic_six_vertex_law_is_uniform(kwargs):
     trials = 30000
     counts = dict.fromkeys(graphs, 0)
     for t in range(trials):
-        g = sample_regular(6, 3, [606, t], **kwargs)
+        g = sample_regular(6, 3, [606, t])
+        assert g.provenance["sampler"] == ("pairing-repair" if budget == 0 else "pairing-rejection")
         counts[frozenset(g.edges())] += 1
     assert len(counts) == 70
     share = sum(counts[es] for es in prisms) / trials
@@ -457,7 +553,8 @@ def test_sample_pstar_law_on_four_vertices():
     # The masked block pair takes its graphon value, every other pair p
     # (not the graphon's 0.9 and 0.05 there).
     w = BlockGraphon.create([0.5, 0.5], [[0.9, 0.6], [0.6, 0.05]])
-    spec = PStarSpec.from_graphon(w, 4, 0.3, mask=np.array([[False, True], [True, False]]))
+    spec = dataclasses.replace(PStarSpec.from_graphon(w, 4, 0.3),
+                               mask=np.array([[False, True], [True, False]]))
     cls = np.searchsorted(spec.boundaries, np.arange(4), side="right") - 1
     pair_prob = np.where(spec.mask, spec.values, spec.p)[cls[:, None], cls[None, :]]
     assert sorted(set(pair_prob.ravel())) == [0.3, 0.6]
