@@ -18,7 +18,10 @@ backtracks over adjacency bitmasks and takes any pattern of at most
 vertices. ``hom_counts_dense`` reads K_{2,m} (P3 and C4 included) and K0
 off the codegree matrix A·A, on targets below 2^24 vertices, so
 ``tail_estimate`` counts those patterns with it and is not bound by
-``HOM_N_CAP`` for them.
+``HOM_N_CAP`` for them. Past the one BLAS product its work is a histogram
+of codegrees: over the upper triangle in row blocks for K_{2,m}, and for
+K0 over the neighbour pairs of each edge's common neighbours, which come
+from ANDs of bit-packed adjacency rows.
 
 The independent-edge samplers (``sample_gnp`` and the tilted model of
 ``sample_pstar``) draw only the edges: every block pair has one edge
@@ -44,6 +47,7 @@ HOM_N_CAP = 64
 CYCLE_POWER_CAP = 12
 DENSE_N_CAP = 1 << 24  # float32 holds every codegree below 2^24 exactly
 K0_ENTRY_CAP = 1 << 20  # entries per edge chunk and per gather in the K0 counter
+CODEGREE_ROW_BLOCK = 64  # rows of C per step of the K_{2,m} histogram
 PAIRING_BLOCK_ENTRIES = 1 << 16  # stubs per block of pairing attempts
 WILSON_Z = 1.959963984540054  # the standard normal 0.975 quantile, for 95% intervals
 
@@ -446,6 +450,9 @@ def cycle_hom_oracle(k: int, g: SimGraph) -> int:
 # Dense counters for patterns at sizes beyond the backtracking caps
 # ---------------------------------------------------------------------------
 
+NO_DENSE_COUNTER = "no dense counter for this pattern; use hom_count"
+
+
 def _dense_kind(pattern: Graph) -> Optional[str]:
     """The counter of ``hom_counts_dense`` for the pattern: "k2m" for
     K_{2,m} (P3 = K_{1,2} and C4 = K_{2,2} included), "k0" for K0, None when
@@ -461,21 +468,23 @@ def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[int, int]:
     codegree matrix C = A·A of the symmetric 0/1 adjacency matrix ``adj``.
 
     C comes from one float32 matmul, which is exact while n < 2^24 (larger
-    targets raise ``CapExceededError``), and both counts are sums over the
+    targets raise ``CapExceededError``), and both counts are sums over a
     histogram h of codegree values, h[k] = #{entries equal to k}, taken in
-    Python ints, so no count is rounded or overflows.
+    Python ints, so no count is rounded or overflows. No codegree exceeds
+    the largest degree, C[u, v] <= C[u, u], so the diagonal sizes h.
 
     - K_{2,m} (P3 = K_{1,2} and C4 = K_{2,2} included): the two-vertex side
       goes to a pair (u, v) and the m others to common neighbours, so
       Hom = sum_k h[k] k^m over all of C, and the injective count is
-      sum_k h'[k] k(k-1)...(k-m+1) with h' the histogram off the diagonal.
+      sum_k h'[k] k(k-1)...(k-m+1) with h' the histogram off the diagonal
+      (``_k2m_codegree_histogram``).
     - K0 (K_{2,4} plus an edge xy on the four-side): x, y go to an ordered
       edge, the hubs to common neighbours u, v of x and y, and the other
       two vertices to common neighbours of u and v. Here h counts C[u, v]
       over the (edge, u, v) triples with u != v, and the u = v triples add
       deg(u)^2 each: Hom = 2 (sum_k h[k] k^2 + sum deg(u)^2), and the
-      injective count is 2 sum_k h[k] (k-2)(k-3). The edges are handled in
-      vectorised chunks, which bounds memory.
+      injective count is 2 sum_k h[k] (k-2)(k-3)
+      (``_k0_codegree_histogram``).
 
     These cover the planted-comparison workloads and ``tail_estimate`` on
     such patterns, at any n below 2^24; other patterns raise
@@ -483,26 +492,45 @@ def hom_counts_dense(pattern: Graph, adj: np.ndarray) -> tuple[int, int]:
     """
     kind = _dense_kind(pattern)
     if kind is None:
-        raise CapExceededError("no dense counter for this pattern; use hom_count")
+        raise CapExceededError(NO_DENSE_COUNTER)
     a = np.asarray(adj, dtype=np.float32)
     n = a.shape[0]
     if n >= DENSE_N_CAP:
         raise CapExceededError(f"target has {n} vertices; float32 codegrees "
                                f"are exact only below {DENSE_N_CAP}")
     # A is symmetric, so A·A = A·Aᵀ, which numpy runs as one syrk: half the flops.
-    c = (a @ a.T).astype(np.int64)
+    c = a @ a.T
     if kind == "k2m":
         m = pattern.n_vertices - 2
-        h = np.bincount(c.ravel())
-        h_off = (h - np.bincount(np.diagonal(c), minlength=len(h))).tolist()
+        h, h_off = _k2m_codegree_histogram(c)
         hom = sum(hk * k ** m for k, hk in enumerate(h.tolist()))
-        inj = sum(hk * math.perm(k, m) for k, hk in enumerate(h_off))
+        inj = sum(hk * math.perm(k, m) for k, hk in enumerate(h_off.tolist()))
         return hom, inj
     h, hubs = _k0_codegree_histogram(a.astype(bool), c)
-    diag = sum(d * d * t for d, t in zip(np.diagonal(c).tolist(), hubs.tolist()))
+    degrees = c.diagonal().astype(np.int64).tolist()
+    diag = sum(d * d * t for d, t in zip(degrees, hubs.tolist()))
     hom = 2 * (sum(hk * k * k for k, hk in enumerate(h)) + diag)
     inj = 2 * sum(hk * (k - 2) * (k - 3) for k, hk in enumerate(h))
     return hom, inj
+
+
+def _k2m_codegree_histogram(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Histograms of the codegree matrix C: of all its entries, and of those
+    off the diagonal.
+
+    C is symmetric, so only its upper triangle is read, in blocks of
+    ``CODEGREE_ROW_BLOCK`` rows: the entries right of a block's diagonal
+    square count twice (once more for their mirror images), the square
+    itself once. No step holds more than a block of C as integers.
+    """
+    b = CODEGREE_ROW_BLOCK
+    h_diag = np.bincount(c.diagonal().astype(np.intp))
+    size = len(h_diag)
+    h = np.bincount(c[:b, :b].astype(np.intp).ravel(), minlength=size)
+    for s in range(b, c.shape[0], b):
+        h += 2 * np.bincount(c[s - b:s, s:].astype(np.intp).ravel(), minlength=size)
+        h += np.bincount(c[s:s + b, s:s + b].astype(np.intp).ravel(), minlength=size)
+    return h, h - h_diag
 
 
 def _k0_codegree_histogram(adj: np.ndarray, c: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -510,31 +538,48 @@ def _k0_codegree_histogram(adj: np.ndarray, c: np.ndarray) -> tuple[list[int], n
     u != v common neighbours of x and y, and per vertex u the number of
     edges xy it is a common neighbour of.
 
-    Edges go in chunks whose n-wide common-neighbour rows hold at most
-    ``K0_ENTRY_CAP`` entries; within a chunk they are grouped by codegree k,
-    so that the k x k blocks of C gather as one array, split so that no
-    gather exceeds ``K0_ENTRY_CAP`` entries either.
+    The common neighbours of the edges come from ANDs of bit-packed
+    adjacency rows, in chunks of edges whose unpacked rows would hold at
+    most ``K0_ENTRY_CAP`` entries; only the nonzero bytes are unpacked.
+    The edges are then grouped by codegree k once, and the k(k-1)/2 pairs
+    u < v of a group's edges gather from C in one flat ``take`` (C is
+    symmetric, so each counts twice), split so that no gather exceeds
+    ``K0_ENTRY_CAP`` entries either.
     """
     n = adj.shape[0]
-    xs, ys = np.nonzero(np.triu(adj, 1))
-    h = np.zeros(int(c.max(initial=0)) + 1, dtype=np.int64)
-    hubs = np.zeros(n, dtype=np.int64)
-    chunk = max(1, K0_ENTRY_CAP // n)
+    # flatnonzero on bools, here and below, runs several times faster than
+    # a 2-D nonzero or one on bytes.
+    xs, ys = np.divmod(np.flatnonzero(adj), n)
+    upper = xs < ys
+    xs, ys = xs[upper], ys[upper]
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    row_bits = 8 * packed.shape[1]
+    chunk = max(1, K0_ENTRY_CAP // max(1, n))
+    # Seeded with empty arrays, so that a graph without edges concatenates.
+    edges, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for s in range(0, len(xs), chunk):
-        common = adj[xs[s:s + chunk]] & adj[ys[s:s + chunk]]
-        # flatnonzero and divmod run several times faster than a 2-D nonzero.
-        rows, cols = np.divmod(np.flatnonzero(common), n)
-        hubs += np.bincount(cols, minlength=n)
-        sizes = np.bincount(rows, minlength=len(common))
-        starts = np.cumsum(sizes) - sizes
-        for k in np.unique(sizes[sizes >= 2]).tolist():
-            off = ~np.eye(k, dtype=bool)
-            first = starts[sizes == k]
-            step = max(1, K0_ENTRY_CAP // (k * k))
-            for b in range(0, len(first), step):
-                u = cols[first[b:b + step, None] + np.arange(k)]
-                h += np.bincount(c[u[:, :, None], u[:, None, :]][:, off].ravel(),
-                                 minlength=len(h))
+        common = (packed[xs[s:s + chunk]] & packed[ys[s:s + chunk]]).ravel()
+        # Bit b of byte at[i] is bit 8 at[i] + b of the chunk's unpacked
+        # rows, each row_bits wide; only the nonzero bytes are unpacked.
+        at = np.flatnonzero(common != 0)
+        pos = np.flatnonzero(np.unpackbits(common[at], bitorder="little").view(bool))
+        edge, col = np.divmod(8 * at[pos >> 3] + (pos & 7), row_bits)
+        edges.append(edge + s)
+        cols.append(col)
+    edges, cols = np.concatenate(edges), np.concatenate(cols)
+    hubs = np.bincount(cols, minlength=n)
+    sizes = np.bincount(edges, minlength=len(xs))
+    starts = np.cumsum(sizes) - sizes
+    flat = c.ravel()
+    h = np.zeros(int(c.diagonal().max(initial=0)) + 1, dtype=np.int64)
+    for k in np.unique(sizes[sizes >= 2]).tolist():
+        i, j = np.triu_indices(k, 1)
+        first = starts[sizes == k]
+        step = max(1, K0_ENTRY_CAP // len(i))
+        for b in range(0, len(first), step):
+            u = cols[first[b:b + step, None] + np.arange(k)]
+            values = flat.take(n * u[:, i] + u[:, j]).astype(np.intp)
+            h += 2 * np.bincount(values.ravel(), minlength=len(h))
     return h.tolist(), hubs
 
 
@@ -689,11 +734,14 @@ def tail_estimate(pattern: Graph, n: int, d: int, delta: float, trials: int,
     at any n, beyond ``HOM_N_CAP`` too; every other pattern by ``hom_count``
     along one ``hom_plan``, on targets of at most ``HOM_N_CAP`` vertices.
     Both counts are exact integers, so the hits agree wherever both apply.
+    A negative delta is allowed; a delta that is not finite is not.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
     if seed < 0:
         raise PreconditionError("seed must be non-negative")
+    if not math.isfinite(delta):
+        raise PreconditionError("delta must be finite")
     p = d / n
     threshold = (1.0 + delta) * p ** pattern.n_edges * float(n) ** pattern.n_vertices
     dense = _dense_kind(pattern) is not None
@@ -749,12 +797,15 @@ def planted_comparison(pattern: Graph, w: BlockGraphon, n: int, p: float,
     the model actually sampled: W on the spec's masked pairs and p elsewhere
     (see ``PStarSpec``). Both columns converge to it as n grows; at moderate
     n the all-maps count carries a large degenerate-map component, which the
-    injective column removes.
+    injective column removes. A pattern with no dense counter raises
+    ``CapExceededError`` before anything is sampled.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
     if seed < 0:
         raise PreconditionError("seed must be non-negative")
+    if _dense_kind(pattern) is None:
+        raise CapExceededError(NO_DENSE_COUNTER)
     spec = PStarSpec.from_graphon(w, n, p)
     hom_s = inj_s = hom_b = inj_b = 0
     for t in range(trials):

@@ -365,6 +365,29 @@ def test_simulate_cli_cycle_past_the_backtracking_cap_exits_3(capsys):
     assert "64" in err
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_delta_exits_2(capsys, delta):
+    code, out, err = run_cli(capsys, "simulate", "--family", "complete-bipartite:2,3",
+                             "--n", "24", "--d", "6", f"--delta={delta}", "--trials", "2",
+                             "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: delta must be finite\n"
+
+
+def test_plant_without_a_dense_counter_exits_3_before_sampling(capsys, monkeypatch):
+    from regtail import sim
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("drew a tilted sample before checking the pattern")
+
+    monkeypatch.setattr(sim, "sample_pstar", no_sample)
+    code, out, err = run_cli(capsys, "plant", "--family", "cycle:5", "--w0", "--gamma", "1/2",
+                             "--z", "1", "--w", "0", "--n", "300", "--p", "0.05",
+                             "--trials", "1", "--seed", "1")
+    assert code == 3 and out == ""
+    assert "no dense counter for this pattern" in err
+
+
 def test_plant_cli(capsys):
     code, out, _ = run_cli(capsys, "plant", "--family", "complete-bipartite:2,3",
                            "--w0", "--gamma", "1/2", "--z", "1", "--w", "0",
@@ -554,7 +577,17 @@ CORPUS_RUNS = (
     [(name, command, flags) for name in CORPUS_EDGES for command, flags in CORPUS_COMMANDS.items()]
     + [(name, "holder", ["--instances", "200", "--seed", "3"]) for name in HOLDER_EDGES]
     + [("K23", "construct", ["--w0", "--gamma", "1/2", "--z", "1", "--w", "0", "--p-grid", "1e-2,1e-3,1e-4"]),
-       ("K0", "construct", ["--w1", "--d1", "4", "--d2", "1", "--p-grid", "1e-2,1e-3,1e-4"])])
+       ("K0", "construct", ["--w1", "--d1", "4", "--d2", "1", "--p-grid", "1e-2,1e-3,1e-4"]),
+       # The dense counter on tilted and G(n, p) samples across several row
+       # blocks, and on regular samples within one.
+       ("K23", "plant", ["--w0", "--gamma", "1/2", "--z", "1", "--w", "0", "--n", "300",
+                         "--p", "0.05", "--trials", "2", "--seed", "3"]),
+       ("K0", "plant", ["--w1", "--d1", "4", "--d2", "1", "--n", "200", "--p", "0.1",
+                        "--trials", "2", "--seed", "3"]),
+       ("K23", "simulate", ["--n", "24", "--d", "6", "--delta", "0.5", "--trials", "5",
+                            "--seed", "1"]),
+       ("C4", "simulate", ["--n", "20", "--d", "4", "--delta", "0.5", "--trials", "5",
+                           "--seed", "1"])])
 CORPUS_FIXTURE = Path(__file__).with_name("corpus_cli_outputs.json")
 
 

@@ -508,6 +508,65 @@ def test_k0_dense_counter_chunks(monkeypatch):
     assert hom_counts_dense(k0_graph(), g.adjacency()) == whole
 
 
+def dense_oracle_cases():
+    """Symmetric 0/1 matrices for the comparison with the oracle kernels,
+    by name: G(n, p) below, at and across the row block, tilted samples
+    of both constructions, regular samples, degenerate sizes, and float64
+    input."""
+    from regtail.graphons import build_w1
+    b = sim.CODEGREE_ROW_BLOCK
+    cases = {f"gnp-{name}": sample_gnp(n, p, n).adjacency(np.float32)
+             for name, n, p in (("in-a-block", b // 2 + 3, 0.3), ("one-block", b, 0.25),
+                                ("across-blocks", 2 * b + 22, 0.2))}
+    for name, w, n, p in (("w0-k23", build_w0(0.5, 1.0, 0.0, 0.05), 300, 0.05),
+                          ("w1-k0", build_w1(4.0, 1.0, 0.1), 300, 0.1)):
+        cases[name] = sample_pstar(PStarSpec.from_graphon(w, n, p), 7).adjacency(np.float32)
+    for n, d in ((20, 4), (24, 6)):
+        cases[f"regular-{n}-{d}"] = sample_regular(n, d, [3, n]).adjacency(np.float32)
+    for n in (0, 1):
+        cases[f"empty-{n}"] = np.zeros((n, n), dtype=np.float32)
+    cases["edgeless"] = np.zeros((b + 5, b + 5), dtype=np.float32)
+    cases["float64"] = sample_gnp(b + 9, 0.3, 11).adjacency()
+    return cases
+
+
+def test_dense_kernels_match_the_oracles():
+    # The row-blocked K_{2,m} histogram and the bit-packed K0 histogram give
+    # the full-matrix and bool-row oracles' histograms, hence their counts.
+    from dense_oracle import hom_counts_dense_oracle, k0_histogram, k2m_histograms
+    for name, adj in dense_oracle_cases().items():
+        a = np.asarray(adj, dtype=np.float32)
+        c = a @ a.T
+        h, h_off = sim._k2m_codegree_histogram(c)
+        want_h, want_off = k2m_histograms(c)
+        assert np.array_equal(h, want_h) and np.array_equal(h_off, want_off), name
+        h, hubs = sim._k0_codegree_histogram(a.astype(bool), c)
+        want_h, want_hubs = k0_histogram(a.astype(bool), c)
+        assert h == want_h and np.array_equal(hubs, want_hubs), name
+        for kind, pattern in DENSE_PATTERNS.items():
+            got = hom_counts_dense(pattern, adj)
+            assert type(got[0]) is int and type(got[1]) is int
+            assert got == hom_counts_dense_oracle(pattern, adj), (name, kind)
+
+
+@pytest.mark.parametrize("case", ["gnp-across-blocks", "w1-k0", "regular-24-6"])
+def test_dense_kernels_match_the_oracles_at_small_caps(monkeypatch, case):
+    # Caps small enough that edge chunks, gathers and row blocks end inside
+    # groups of edges of equal codegree.
+    from dense_oracle import k0_histogram, k2m_histograms
+    a = dense_oracle_cases()[case]
+    adj, c, n = a.astype(bool), a @ a.T, len(a)
+    want_k0, want_k2m = k0_histogram(adj, c), k2m_histograms(c)
+    for cap in (1, 7, 3 * n + 1, 40 * n):
+        monkeypatch.setattr(sim, "K0_ENTRY_CAP", cap)
+        h, hubs = sim._k0_codegree_histogram(adj, c)
+        assert h == want_k0[0] and np.array_equal(hubs, want_k0[1]), cap
+    for rows in (1, 5, n - 1, n):
+        monkeypatch.setattr(sim, "CODEGREE_ROW_BLOCK", rows)
+        h, h_off = sim._k2m_codegree_histogram(c)
+        assert np.array_equal(h, want_k2m[0]) and np.array_equal(h_off, want_k2m[1]), rows
+
+
 def test_hom_counts_dense_exact_beyond_float():
     # On the complete graph K_64 every codegree is 62 off the diagonal and
     # 63 on it. Both K_{2,8} counts exceed 2^53, where float64 sums round.
@@ -643,6 +702,12 @@ def test_pstar_block_densities_three_sigma():
 def test_tail_estimate_threshold_zero():
     est = tail_estimate(cycle_graph(3), 12, 3, -1.0, 30, 0)
     assert est.estimate == 1.0 and est.hits == 30
+
+
+def test_tail_estimate_needs_a_finite_delta():
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="delta must be finite"):
+            tail_estimate(cycle_graph(3), 12, 3, delta, 2, 0)
 
 
 def test_tail_estimate_forest_zero_variance():
